@@ -389,7 +389,7 @@ int main(int argc, char** argv) try {
     }
     util::Table t({"model", "batch", "fp32@1 tok/s", "int8@1 tok/s",
                    std::string("int8@") + std::to_string(multi) + " tok/s",
-                   "int8/fp32@1"});
+                   "int8/fp32@1", "int8@1/autograd"});
     json += ",\"forward_int8\":[";
     for (std::size_t ci = 0; ci < cases.size(); ++ci) {
       const ModelCase& mc = cases[ci];
@@ -407,6 +407,10 @@ int main(int argc, char** argv) try {
       const double toks = static_cast<double>(mc.batch) * total;
 
       kern::set_threads(1);
+      // The gated int8 ratio shares the fp32 gate's denominator (autograd
+      // forward): an int8/fp32 ratio would fall whenever fp32 got faster.
+      const double t_auto =
+          best_seconds(reps, [&] { (void)model.forward(tokens, mask); });
       const double t_f32 =
           best_seconds(reps, [&] { (void)model.infer(tokens, mask); });
       const double t_i8 = best_seconds(reps, [&] {
@@ -421,13 +425,16 @@ int main(int argc, char** argv) try {
                  util::Table::num(toks / t_f32, 0),
                  util::Table::num(toks / t_i8, 0),
                  util::Table::num(toks / t_i8n, 0),
-                 util::Table::num(t_f32 / t_i8, 2)});
+                 util::Table::num(t_f32 / t_i8, 2),
+                 util::Table::num(t_auto / t_i8, 2)});
       json += std::string(ci == 0 ? "" : ",") + "{\"config\":\"" + mc.name +
               "\",\"batch\":" + std::to_string(mc.batch) +
+              ",\"autograd_tokens_per_s\":" + json_num(toks / t_auto) +
               ",\"fp32_t1_tokens_per_s\":" + json_num(toks / t_f32) +
               ",\"int8_t1_tokens_per_s\":" + json_num(toks / t_i8) +
               ",\"int8_multi_tokens_per_s\":" + json_num(toks / t_i8n) +
               ",\"int8_vs_fp32_t1\":" + json_num(t_f32 / t_i8) +
+              ",\"int8_vs_autograd_t1\":" + json_num(t_auto / t_i8) +
               ",\"multi_threads\":" + std::to_string(multi) + "}";
     }
     json += "]";

@@ -45,6 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +59,7 @@
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
 #include "testbed/loadgen.hpp"
+#include "util/parse.hpp"
 #include "util/stopwatch.hpp"
 
 int main(int argc, char** argv) {
@@ -67,23 +69,39 @@ int main(int argc, char** argv) {
   int pipeline_depth = 2;
   std::size_t llc_override = 0;  // 0 = detect (sysfs/sysconf, else default)
   std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-overhead") == 0) {
-      check_overhead = true;
-    } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
-      pin_workers = true;
-    } else if (std::strcmp(argv[i], "--pipeline-depth") == 0 && i + 1 < argc) {
-      pipeline_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--llc") == 0 && i + 1 < argc) {
-      llc_override = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
-      positional.push_back(argv[i]);
+  int workers = 4;
+  int num_images = 48;
+  // Strict numeric flags (util/parse.hpp): junk or out-of-range values exit
+  // 2 naming the flag instead of silently becoming 0.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--check-overhead") == 0) {
+        check_overhead = true;
+      } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
+        pin_workers = true;
+      } else if (std::strcmp(argv[i], "--pipeline-depth") == 0 &&
+                 i + 1 < argc) {
+        pipeline_depth =
+            util::parse_int32(argv[++i], "--pipeline-depth", 1, 64);
+      } else if (std::strcmp(argv[i], "--llc") == 0 && i + 1 < argc) {
+        llc_override = static_cast<std::size_t>(
+            util::parse_int(argv[++i], "--llc", 0, 1LL << 40));
+      } else {
+        positional.push_back(argv[i]);
+      }
     }
+    if (positional.size() > 1) {
+      workers = util::parse_int32(positional[1], "workers", 1, 1024);
+    }
+    if (positional.size() > 2) {
+      num_images = util::parse_int32(positional[2], "images", 1, 1 << 20);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_serve: %s\n", e.what());
+    return 2;
   }
   const std::string out_path =
       positional.size() > 0 ? positional[0] : "bench_serve.json";
-  const int workers = positional.size() > 1 ? std::atoi(positional[1]) : 4;
-  const int num_images = positional.size() > 2 ? std::atoi(positional[2]) : 48;
 
   bench::print_header(
       "bench_serve: concurrent batched server vs sequential decode",

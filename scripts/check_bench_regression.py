@@ -5,7 +5,7 @@ Compares a fresh bench_infer JSON report against the checked-in baseline
 (bench/baseline_infer.json) and fails when any gated metric drops more
 than `tolerance` (default 15%) below its baseline value.
 
-The gated metrics are same-machine RATIOS (kernel/autograd, int8/fp32):
+The gated metrics are same-machine RATIOS (kernel/autograd, int8/autograd):
 absolute GFLOP/s numbers differ several-fold between CI runner SKUs and
 would make any absolute gate either useless or flaky, while a ratio of
 two measurements taken back to back on the same core cancels the machine
@@ -32,7 +32,9 @@ def match_entry(entries, baseline_entry, keys):
 # (baseline_serve.json) reports — CI invokes it once per pair.
 GATES = {
     "forward": (("config",), "kernel_vs_autograd_t1"),
-    "forward_int8": (("config",), "int8_vs_fp32_t1"),
+    # int8 gates against the same autograd denominator as "forward", so a
+    # faster fp32 kernel cannot trip it; int8_vs_fp32_t1 stays in the report.
+    "forward_int8": (("config",), "int8_vs_autograd_t1"),
     "gemm_int8": (("m", "k", "n"), "int8_vs_fp32"),
     "serve": (("scenario",), "pipelined_vs_unpipelined"),
 }

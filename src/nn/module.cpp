@@ -32,7 +32,7 @@ Linear::Linear(int in_features, int out_features, util::Pcg32& rng)
 }
 
 void Linear::infer(const float* x, float* y, int rows, bool fuse_gelu,
-                   bool parallel) const {
+                   bool parallel, const float* residual) const {
   if (g_calibrating) {
     float mx = observed_absmax_;
     const std::size_t count = static_cast<std::size_t>(rows) * in_;
@@ -42,6 +42,7 @@ void Linear::infer(const float* x, float* y, int rows, bool fuse_gelu,
   tensor::kern::GemmOpts opts;
   opts.bias = bias_.data().data();
   opts.gelu = fuse_gelu;
+  opts.residual = residual;
   opts.parallel = parallel;
   tensor::kern::gemm(x, static_cast<std::size_t>(in_), weight_.data().data(),
                      static_cast<std::size_t>(out_), y,
@@ -111,7 +112,7 @@ void Linear::apply_quant(float act_scale, std::vector<float> w_scale,
 }
 
 void Linear::infer_q(const float* x, float* y, int rows, bool fuse_gelu,
-                     bool parallel) const {
+                     bool parallel, const float* residual) const {
   const QuantState& q = quant();  // throws when not quantized
   // Grow-only per-thread staging for the quantized input; the GEMM consumes
   // it before returning, so one buffer per thread suffices even with the
@@ -124,6 +125,7 @@ void Linear::infer_q(const float* x, float* y, int rows, bool fuse_gelu,
   tensor::kern::QuantGemmOpts opts;
   opts.bias = bias_.data().data();
   opts.gelu = fuse_gelu;
+  opts.residual = residual;
   opts.parallel = parallel;
   tensor::kern::gemm_u8s8(qbuf.data(), static_cast<std::size_t>(in_), q.packed,
                           y, static_cast<std::size_t>(out_), rows, in_, out_,

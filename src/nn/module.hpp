@@ -75,9 +75,11 @@ class Linear : public Module {
   /// Grad-free fast path: y[rows, out] = x[rows, in] W + b over raw spans,
   /// reading the SAME parameter tensors as forward (a shared-weights view,
   /// nothing is duplicated). `fuse_gelu` applies GELU in the GEMM epilogue
-  /// (the FFN's first projection). Not safe concurrently with training.
+  /// (the FFN's first projection); a non-null `residual` ([rows, out]) is
+  /// added last, y = residual + (x W + b). Not safe concurrently with
+  /// training.
   void infer(const float* x, float* y, int rows, bool fuse_gelu = false,
-             bool parallel = true) const;
+             bool parallel = true, const float* residual = nullptr) const;
 
   // ---- int8 path (DESIGN.md §7) ----
 
@@ -118,9 +120,9 @@ class Linear : public Module {
   /// Int8 fast path: statically-quantized input (u8, calibrated scale),
   /// exact-i32 GEMM, fused dequant + bias (+ GELU) epilogue back to fp32.
   /// Row results are row-local (static scales), so batch pooling is exact.
-  /// Throws std::logic_error if not quantized.
+  /// `residual` as in infer(). Throws std::logic_error if not quantized.
   void infer_q(const float* x, float* y, int rows, bool fuse_gelu = false,
-               bool parallel = true) const;
+               bool parallel = true, const float* residual = nullptr) const;
 
   [[nodiscard]] int in_features() const { return in_; }
   [[nodiscard]] int out_features() const { return out_; }

@@ -49,67 +49,26 @@ Tensor MultiHeadAttention::forward(const Tensor& x) const {
   return proj_->forward(merged);
 }
 
-void MultiHeadAttention::attend(const float* qkv, float* out, int batch,
-                                int tokens, tensor::kern::Workspace& ws) const {
-  namespace kern = tensor::kern;
-  const int d = d_model_;
-  const int hd = head_dim_;
-  const std::size_t qkv_ld = 3 * static_cast<std::size_t>(d);
-
-  float* scores = ws.alloc(static_cast<std::size_t>(batch) * heads_ * tokens *
-                           tokens);  // one [T, T] slab per (batch, head)
-
-  const float inv_sqrt_d = 1.0F / std::sqrt(static_cast<float>(hd));
-  // One task per (batch, head): Q K^T -> softmax -> weights V, all on
-  // strided views into the qkv buffer (no per-head slice copies). Inner
-  // kernels run serial — the parallelism is the task fan-out itself.
-  kern::parallel_for(batch * heads_, [&](int task) {
-    const int bi = task / heads_;
-    const int h = task % heads_;
-    const float* base = qkv + static_cast<std::size_t>(bi) * tokens * qkv_ld;
-    const float* q = base + static_cast<std::size_t>(h) * hd;
-    const float* k = base + d + static_cast<std::size_t>(h) * hd;
-    const float* v = base + 2 * static_cast<std::size_t>(d) +
-                     static_cast<std::size_t>(h) * hd;
-    float* sc = scores + static_cast<std::size_t>(task) * tokens * tokens;
-
-    kern::GemmOpts score_opts;
-    score_opts.transpose_b = true;
-    score_opts.scale = inv_sqrt_d;
-    score_opts.parallel = false;
-    kern::gemm(q, qkv_ld, k, qkv_ld, sc, static_cast<std::size_t>(tokens),
-               tokens, hd, tokens, score_opts);
-    kern::softmax_rows(sc, static_cast<std::size_t>(tokens), tokens,
-                       /*parallel=*/false);
-
-    float* mp = out + static_cast<std::size_t>(bi) * tokens * d +
-                static_cast<std::size_t>(h) * hd;
-    kern::GemmOpts apply_opts;
-    apply_opts.parallel = false;
-    kern::gemm(sc, static_cast<std::size_t>(tokens), v, qkv_ld, mp,
-               static_cast<std::size_t>(d), tokens, tokens, hd, apply_opts);
-  });
-}
-
 void MultiHeadAttention::infer(const float* x, float* out, int batch,
-                               int tokens, tensor::kern::Workspace& ws) const {
+                               int tokens, tensor::kern::Workspace& ws,
+                               const float* residual) const {
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
   float* qkv = ws.alloc(rows * 3 * static_cast<std::size_t>(d_model_));
   qkv_->infer(x, qkv, static_cast<int>(rows));
   float* merged = ws.alloc(rows * static_cast<std::size_t>(d_model_));
-  attend(qkv, merged, batch, tokens, ws);
-  proj_->infer(merged, out, static_cast<int>(rows));
+  tensor::kern::attention(qkv, merged, batch, tokens, heads_, head_dim_);
+  proj_->infer(merged, out, static_cast<int>(rows), false, true, residual);
 }
 
 void MultiHeadAttention::infer_q(const float* x, float* out, int batch,
-                                 int tokens,
-                                 tensor::kern::Workspace& ws) const {
+                                 int tokens, tensor::kern::Workspace& ws,
+                                 const float* residual) const {
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
   float* qkv = ws.alloc(rows * 3 * static_cast<std::size_t>(d_model_));
   qkv_->infer_q(x, qkv, static_cast<int>(rows));
   float* merged = ws.alloc(rows * static_cast<std::size_t>(d_model_));
-  attend(qkv, merged, batch, tokens, ws);
-  proj_->infer_q(merged, out, static_cast<int>(rows));
+  tensor::kern::attention(qkv, merged, batch, tokens, heads_, head_dim_);
+  proj_->infer_q(merged, out, static_cast<int>(rows), false, true, residual);
 }
 
 double MultiHeadAttention::flops(int batch, int tokens, int d_model,
@@ -135,19 +94,21 @@ Tensor FeedForward::forward(const Tensor& x) const {
 }
 
 void FeedForward::infer(const float* x, float* out, int rows,
-                        tensor::kern::Workspace& ws) const {
+                        tensor::kern::Workspace& ws,
+                        const float* residual) const {
   float* hidden = ws.alloc(static_cast<std::size_t>(rows) *
                            static_cast<std::size_t>(fc1_->out_features()));
   fc1_->infer(x, hidden, rows, /*fuse_gelu=*/true);
-  fc2_->infer(hidden, out, rows);
+  fc2_->infer(hidden, out, rows, false, true, residual);
 }
 
 void FeedForward::infer_q(const float* x, float* out, int rows,
-                          tensor::kern::Workspace& ws) const {
+                          tensor::kern::Workspace& ws,
+                          const float* residual) const {
   float* hidden = ws.alloc(static_cast<std::size_t>(rows) *
                            static_cast<std::size_t>(fc1_->out_features()));
   fc1_->infer_q(x, hidden, rows, /*fuse_gelu=*/true);
-  fc2_->infer_q(hidden, out, rows);
+  fc2_->infer_q(hidden, out, rows, false, true, residual);
 }
 
 double FeedForward::flops(int batch, int tokens, int d_model, int hidden) {
@@ -176,40 +137,34 @@ Tensor TransformerBlock::forward(const Tensor& x) const {
 
 void TransformerBlock::infer(const float* x, float* out, int batch, int tokens,
                              tensor::kern::Workspace& ws) const {
-  namespace kern = tensor::kern;
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
   const std::size_t n = rows * static_cast<std::size_t>(attn_->d_model());
 
   float* normed = ws.alloc(n);
   ln1_->infer(x, normed, rows);
   float* attn = ws.alloc(n);
-  attn_->infer(normed, attn, batch, tokens, ws);
-  kern::add_rows(x, attn, attn, n);  // attn = x + Attn(LN1(x))
+  attn_->infer(normed, attn, batch, tokens, ws, x);  // x + Attn(LN1(x))
 
   ln2_->infer(attn, normed, rows);  // normed buffer reused
   float* ffn = ws.alloc(n);
-  ffn_->infer(normed, ffn, static_cast<int>(rows), ws);
-  kern::add_rows(attn, ffn, ffn, n);
+  ffn_->infer(normed, ffn, static_cast<int>(rows), ws, attn);
 
   ln3_->infer(ffn, out, rows);
 }
 
 void TransformerBlock::infer_q(const float* x, float* out, int batch,
                                int tokens, tensor::kern::Workspace& ws) const {
-  namespace kern = tensor::kern;
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
   const std::size_t n = rows * static_cast<std::size_t>(attn_->d_model());
 
   float* normed = ws.alloc(n);
   ln1_->infer(x, normed, rows);
   float* attn = ws.alloc(n);
-  attn_->infer_q(normed, attn, batch, tokens, ws);
-  kern::add_rows(x, attn, attn, n);  // attn = x + Attn(LN1(x))
+  attn_->infer_q(normed, attn, batch, tokens, ws, x);  // x + Attn(LN1(x))
 
   ln2_->infer(attn, normed, rows);  // normed buffer reused
   float* ffn = ws.alloc(n);
-  ffn_->infer_q(normed, ffn, static_cast<int>(rows), ws);
-  kern::add_rows(attn, ffn, ffn, n);
+  ffn_->infer_q(normed, ffn, static_cast<int>(rows), ws, attn);
 
   ln3_->infer(ffn, out, rows);
 }

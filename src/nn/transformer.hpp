@@ -21,18 +21,22 @@ class MultiHeadAttention : public Module {
 
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
-  /// x, out: [batch * tokens, D] row-major. Parallelises over (batch, head)
-  /// pairs on the kern pool; scratch comes from `ws` (no heap allocation
-  /// once the arena is warm). Not safe concurrently with training.
+  /// x, out: [batch * tokens, D] row-major. The fused attention core
+  /// (kern::attention) parallelises over (batch, head) pairs on the kern
+  /// pool; scratch comes from `ws` (no heap allocation once the arena is
+  /// warm). A non-null `residual` ([batch * tokens, D]) is added in the
+  /// output projection's epilogue. Not safe concurrently with training.
   void infer(const float* x, float* out, int batch, int tokens,
-             tensor::kern::Workspace& ws) const;
+             tensor::kern::Workspace& ws,
+             const float* residual = nullptr) const;
 
   /// Int8 variant: qkv and output projections run the quantized kernel;
   /// the attention core (scores, softmax, weighted sum) stays fp32 —
   /// activations round-trip through int8 only at layer boundaries
   /// (DESIGN.md §7). Requires quantized() == true.
   void infer_q(const float* x, float* out, int batch, int tokens,
-               tensor::kern::Workspace& ws) const;
+               tensor::kern::Workspace& ws,
+               const float* residual = nullptr) const;
 
   [[nodiscard]] bool quantized() const {
     return qkv_->quantized() && proj_->quantized();
@@ -51,11 +55,6 @@ class MultiHeadAttention : public Module {
                                     int num_heads);
 
  private:
-  // Shared fp32 attention core: qkv [B*T, 3D] -> out [B*T, D] (both the
-  // fp32 and int8 paths ride it; only the projections differ).
-  void attend(const float* qkv, float* out, int batch, int tokens,
-              tensor::kern::Workspace& ws) const;
-
   int d_model_;
   int heads_;
   int head_dim_;
@@ -70,15 +69,18 @@ class FeedForward : public Module {
 
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
-  /// x, out: [rows, D]. Fuses bias+GELU into the first GEMM's epilogue.
+  /// x, out: [rows, D]. Fuses bias+GELU into the first GEMM's epilogue and
+  /// a non-null `residual` ([rows, D]) into the second's.
   void infer(const float* x, float* out, int rows,
-             tensor::kern::Workspace& ws) const;
+             tensor::kern::Workspace& ws,
+             const float* residual = nullptr) const;
 
   /// Int8 variant: both projections quantized, dequant + bias + GELU fused
   /// into fc1's epilogue; the hidden activation re-enters int8 at fc2's
   /// boundary with its own calibrated scale.
   void infer_q(const float* x, float* out, int rows,
-               tensor::kern::Workspace& ws) const;
+               tensor::kern::Workspace& ws,
+               const float* residual = nullptr) const;
 
   [[nodiscard]] bool quantized() const {
     return fc1_->quantized() && fc2_->quantized();
@@ -105,8 +107,9 @@ class TransformerBlock : public Module {
 
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
-  /// x, out: [batch * tokens, D]; out must not alias x (the residual adds
-  /// re-read x). Runs the whole block on the kern fast path.
+  /// x, out: [batch * tokens, D]; out must not alias x (the residual adds,
+  /// fused into the proj and fc2 epilogues, re-read x). Runs the whole
+  /// block on the kern fast path.
   void infer(const float* x, float* out, int batch, int tokens,
              tensor::kern::Workspace& ws) const;
 

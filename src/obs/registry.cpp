@@ -56,8 +56,11 @@ void set_exact_percentiles(bool on) {
 }
 
 Registry& Registry::global() {
-  static Registry registry;
-  return registry;
+  // Never destroyed: threads that outlive static teardown (the kern pool's
+  // parked lanes, joined by the pool's own static destructor) still record
+  // into it on their way out.
+  static Registry* registry = new Registry;
+  return *registry;
 }
 
 Counter& Registry::counter(const std::string& name) {

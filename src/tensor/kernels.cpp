@@ -57,9 +57,11 @@ struct PoolMetrics {
   obs::Gauge& parked = obs::Registry::global().gauge("kern.pool.parked");
 };
 
+// Never destroyed, like the registry it points into: the pool's static
+// destructor joins lanes that still record (parked.add(-1)) on wake-up.
 PoolMetrics& pool_metrics() {
-  static PoolMetrics m;
-  return m;
+  static PoolMetrics* m = new PoolMetrics;
+  return *m;
 }
 
 struct Job {
@@ -335,17 +337,28 @@ Workspace& Workspace::for_this_thread() {
   return ws;
 }
 
-// ---- transcendental approximations ----------------------------------------
+// ---- shared pieces --------------------------------------------------------
 //
-// fast_exp / gelu_approx live in kern_math.hpp (shared with the int8
-// epilogue in kernels_int8.cpp); pure arithmetic + integer bit ops, so the
-// autovectoriser turns the softmax and GELU loops into SIMD where scalar
-// expf/tanhf calls never would.
+// fast_exp / gelu_approx and their 8-lane twins live in kern_math.hpp
+// (shared with the int8 epilogue). Each kernel below has an explicit AVX2
+// body and a portable twin. The elementwise tails (GEMM epilogue, softmax,
+// layernorm) compile for AVX2 without FMA and replay the portable op
+// sequence lane for lane, so the two bodies agree bit-for-bit there; only
+// the GEMM's multiply-add chain, in its own avx2+fma function, rounds once
+// per step instead of twice.
 
 namespace {
 
 using detail::fast_exp;
 using detail::gelu_approx;
+
+#ifdef EASZ_KERN_AVX2
+bool use_avx2() {
+  static const bool yes =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return yes;
+}
+#endif
 
 }  // namespace
 
@@ -355,10 +368,12 @@ float gelu_scalar(float x) { return gelu_approx(x); }
 
 namespace {
 
-// Micro-tile: kMr row accumulator strips of kNc floats (3 AVX2 registers
-// each) live across the whole k loop, so each output element is one
+// Micro-tile: kMr rows x kNc columns of accumulators (3 AVX2 registers per
+// row) live across the whole k loop, so each output element is one
 // ascending-k accumulation chain — the same per-element summation order as
-// the autograd matmul, just held in registers instead of memory.
+// the autograd matmul, just held in registers instead of memory. The chain
+// is the same whatever the tile shape, so rows in a full 4-row tile and in
+// the row remainder produce identical bytes.
 constexpr int kMr = 4;
 constexpr int kNc = 24;
 
@@ -366,54 +381,30 @@ constexpr int kNc = 24;
 // more than it saves). Matches the OpenMP gate the autograd matmul used.
 constexpr std::size_t kParallelMinFlops = 65536;
 
-// The body is ISA-neutral and always_inline: each dispatch wrapper below
-// pulls it in and compiles it for its own target, which is what makes the
-// cc loops vectorise with AVX2+FMA where available.
-__attribute__((always_inline)) inline void gemm_rows_body(
-    const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
-    std::size_t ldc, int m, int k, int n, const float* bias, bool gelu,
-    float scale) {
-  const auto store = [&](float* dst, float acc, int j) {
-    float v = acc * scale;
-    if (bias != nullptr) v += bias[j];
-    if (gelu) v = gelu_approx(v);
-    *dst = v;
-  };
-  int i = 0;
-  for (; i + kMr <= m; i += kMr) {
-    int j = 0;
-    for (; j + kNc <= n; j += kNc) {
-      float acc[kMr][kNc] = {};
-      for (int p = 0; p < k; ++p) {
-        const float* brow = b + static_cast<std::size_t>(p) * ldb + j;
-        for (int r = 0; r < kMr; ++r) {
-          const float ar = a[static_cast<std::size_t>(i + r) * lda + p];
-          for (int cc = 0; cc < kNc; ++cc) acc[r][cc] += ar * brow[cc];
-        }
-      }
-      for (int r = 0; r < kMr; ++r) {
-        float* crow = c + static_cast<std::size_t>(i + r) * ldc + j;
-        for (int cc = 0; cc < kNc; ++cc) store(crow + cc, acc[r][cc], j + cc);
-      }
-    }
-    if (j < n) {  // column remainder, nr < kNc (runtime bound vectorises)
-      const int nr = n - j;
-      float acc[kMr][kNc] = {};
-      for (int p = 0; p < k; ++p) {
-        const float* brow = b + static_cast<std::size_t>(p) * ldb + j;
-        for (int r = 0; r < kMr; ++r) {
-          const float ar = a[static_cast<std::size_t>(i + r) * lda + p];
-          for (int cc = 0; cc < nr; ++cc) acc[r][cc] += ar * brow[cc];
-        }
-      }
-      for (int r = 0; r < kMr; ++r) {
-        float* crow = c + static_cast<std::size_t>(i + r) * ldc + j;
-        for (int cc = 0; cc < nr; ++cc) store(crow + cc, acc[r][cc], j + cc);
-      }
-    }
+struct Epilogue {
+  const float* bias;  // indexed by output column
+  const float* res;   // row stride ldc, same rows as C
+  bool gelu;
+};
+
+// Epilogue of one output row segment [j0, j0 + cols): bias, GELU, then
+// residual + value, the operand order of a block's x + sublayer(x).
+void epilogue_row(const float* acc, float* crow, const float* rrow, int j0,
+                  int cols, const Epilogue& e) {
+  for (int cc = 0; cc < cols; ++cc) {
+    float v = acc[cc];
+    if (e.bias != nullptr) v += e.bias[j0 + cc];
+    if (e.gelu) v = gelu_approx(v);
+    if (rrow != nullptr) v = rrow[j0 + cc] + v;
+    crow[j0 + cc] = v;
   }
-  if (i < m) {  // row remainder, mr < kMr
-    const int mr = m - i;
+}
+
+void gemm_rows_base(const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc, int m, int k,
+                    int n, const Epilogue& e) {
+  for (int i = 0; i < m; i += kMr) {
+    const int mr = std::min(kMr, m - i);
     for (int j = 0; j < n; j += kNc) {
       const int nr = std::min(kNc, n - j);
       float acc[kMr][kNc] = {};
@@ -425,48 +416,126 @@ __attribute__((always_inline)) inline void gemm_rows_body(
         }
       }
       for (int r = 0; r < mr; ++r) {
-        float* crow = c + static_cast<std::size_t>(i + r) * ldc + j;
-        for (int cc = 0; cc < nr; ++cc) store(crow + cc, acc[r][cc], j + cc);
+        const std::size_t row = static_cast<std::size_t>(i + r) * ldc;
+        epilogue_row(acc[r], c + row, e.res == nullptr ? nullptr : e.res + row,
+                     j, nr, e);
       }
     }
   }
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EASZ_KERN_X86_DISPATCH 1
+#ifdef EASZ_KERN_AVX2
+
+// MR x (8 * NV) accumulators over the whole k range, stored raw into the
+// kNc-stride stack tile. kTail masks the last B vector to the live columns.
+template <int MR, int NV, bool kTail>
+__attribute__((target("avx2,fma"))) void tile_avx2(
+    const float* a, std::size_t lda, const float* b, std::size_t ldb, int k,
+    __m256i tail, float* tile) {
+  __m256 acc[MR][NV];
+  for (auto& row : acc) {
+    for (__m256& v : row) v = _mm256_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * ldb;
+    __m256 bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = kTail && v == NV - 1 ? _mm256_maskload_ps(brow + 8 * v, tail)
+                                   : _mm256_loadu_ps(brow + 8 * v);
+    }
+    for (int r = 0; r < MR; ++r) {
+      const __m256 ar =
+          _mm256_broadcast_ss(a + static_cast<std::size_t>(r) * lda + p);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(ar, bv[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      _mm256_store_ps(tile + r * kNc + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+using TileFn = void (*)(const float*, std::size_t, const float*, std::size_t,
+                        int, __m256i, float*);
+
+// Partial tiles by [rows - 1][vectors - 1].
+constexpr TileFn kPartialTiles[kMr][3] = {
+    {tile_avx2<1, 1, true>, tile_avx2<1, 2, true>, tile_avx2<1, 3, true>},
+    {tile_avx2<2, 1, true>, tile_avx2<2, 2, true>, tile_avx2<2, 3, true>},
+    {tile_avx2<3, 1, true>, tile_avx2<3, 2, true>, tile_avx2<3, 3, true>},
+    {tile_avx2<4, 1, true>, tile_avx2<4, 2, true>, tile_avx2<4, 3, true>}};
+
+// epilogue_row on 8 lanes. Compiled without fma and kept out of line so the
+// caller's FMA context cannot contract it: the output equals epilogue_row's
+// bit-for-bit.
+__attribute__((target("avx2"), noinline)) void epilogue_tile_avx2(
+    const float* tile, int mr, int nr, float* c, std::size_t ldc, int j0,
+    const Epilogue& e) {
+  for (int r = 0; r < mr; ++r) {
+    float* crow = c + static_cast<std::size_t>(r) * ldc + j0;
+    const float* rrow =
+        e.res == nullptr ? nullptr : e.res + static_cast<std::size_t>(r) * ldc + j0;
+    for (int cc = 0; cc < nr; cc += 8) {
+      const __m256i mask = detail::lane_mask(nr - cc);
+      __m256 v = _mm256_load_ps(tile + r * kNc + cc);
+      if (e.bias != nullptr) {
+        v = _mm256_add_ps(v, _mm256_maskload_ps(e.bias + j0 + cc, mask));
+      }
+      if (e.gelu) v = detail::gelu_v8(v);
+      if (rrow != nullptr) {
+        v = _mm256_add_ps(_mm256_maskload_ps(rrow + cc, mask), v);
+      }
+      // Whole vectors store plainly: a masked store defeats store-to-load
+      // forwarding when the caller reads C straight back (attention).
+      if (nr - cc >= 8) {
+        _mm256_storeu_ps(crow + cc, v);
+      } else {
+        _mm256_maskstore_ps(crow + cc, mask, v);
+      }
+    }
+  }
+}
+
 __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
     const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
-    std::size_t ldc, int m, int k, int n, const float* bias, bool gelu,
-    float scale) {
-  gemm_rows_body(a, lda, b, ldb, c, ldc, m, k, n, bias, gelu, scale);
+    std::size_t ldc, int m, int k, int n, const Epilogue& e) {
+  alignas(32) float tile[kMr * kNc];
+  for (int i = 0; i < m; i += kMr) {
+    const int mr = std::min(kMr, m - i);
+    const float* ai = a + static_cast<std::size_t>(i) * lda;
+    const std::size_t row = static_cast<std::size_t>(i) * ldc;
+    Epilogue ei = e;
+    if (ei.res != nullptr) ei.res += row;
+    for (int j = 0; j < n; j += kNc) {
+      const int nr = std::min(kNc, n - j);
+      if (mr == kMr && nr == kNc) {
+        tile_avx2<kMr, 3, false>(ai, lda, b + j, ldb, k, __m256i{}, tile);
+      } else {
+        const int nv = (nr + 7) / 8;
+        kPartialTiles[mr - 1][nv - 1](ai, lda, b + j, ldb, k,
+                                      detail::lane_mask(nr - 8 * (nv - 1)),
+                                      tile);
+      }
+      epilogue_tile_avx2(tile, mr, nr, c + row, ldc, j, ei);
+    }
+  }
 }
-#endif
 
-void gemm_rows_base(const float* a, std::size_t lda, const float* b,
-                    std::size_t ldb, float* c, std::size_t ldc, int m, int k,
-                    int n, const float* bias, bool gelu, float scale) {
-  gemm_rows_body(a, lda, b, ldb, c, ldc, m, k, n, bias, gelu, scale);
-}
+#endif  // EASZ_KERN_AVX2
 
 void gemm_rows(const float* a, std::size_t lda, const float* b,
                std::size_t ldb, float* c, std::size_t ldc, int m, int k, int n,
-               const GemmOpts& o) {
-#ifdef EASZ_KERN_X86_DISPATCH
-  static const bool use_avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (use_avx2) {
-    gemm_rows_avx2(a, lda, b, ldb, c, ldc, m, k, n, o.bias, o.gelu, o.scale);
+               const Epilogue& e) {
+#ifdef EASZ_KERN_AVX2
+  if (use_avx2()) {
+    gemm_rows_avx2(a, lda, b, ldb, c, ldc, m, k, n, e);
     return;
   }
 #endif
-  gemm_rows_base(a, lda, b, ldb, c, ldc, m, k, n, o.bias, o.gelu, o.scale);
-}
-
-// Grow-only per-thread scratch for the transpose-B pack. Steady state:
-// zero allocations (it never shrinks).
-std::vector<float>& pack_scratch() {
-  static thread_local std::vector<float> scratch;
-  return scratch;
+  gemm_rows_base(a, lda, b, ldb, c, ldc, m, k, n, e);
 }
 
 }  // namespace
@@ -475,48 +544,28 @@ void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float* c, std::size_t ldc, int m, int k, int n,
           const GemmOpts& opts) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-
-  GemmOpts o = opts;
-  if (o.transpose_b) {
-    // Pack B^T ([n, k] row-major -> [k, n]) into thread-local scratch and
-    // fall through to the streaming kernel. Packing only moves data, so
-    // the per-element accumulation order is untouched; the O(k*n) copy is
-    // paid back by contiguous loads in the O(m*k*n) loop.
-    std::vector<float>& scratch = pack_scratch();
-    const std::size_t need = static_cast<std::size_t>(k) * n;
-    if (scratch.size() < need) scratch.resize(need);
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::size_t>(j) * ldb;
-      for (int p = 0; p < k; ++p) {
-        scratch[static_cast<std::size_t>(p) * n + j] = brow[p];
-      }
-    }
-    b = scratch.data();
-    ldb = static_cast<std::size_t>(n);
-    o.transpose_b = false;
-  }
+  const Epilogue e{opts.bias, opts.residual, opts.gelu};
 
   const std::size_t work = static_cast<std::size_t>(m) * n * k;
   const int lanes = threads();
-  if (!o.parallel || lanes <= 1 || work < kParallelMinFlops) {
-    gemm_rows(a, lda, b, ldb, c, ldc, m, k, n, o);
+  if (!opts.parallel || lanes <= 1 || work < kParallelMinFlops) {
+    gemm_rows(a, lda, b, ldb, c, ldc, m, k, n, e);
     return;
   }
-  // Row panels, a multiple of the micro-tile height so every row keeps the
-  // same full-tile/remainder classification whatever the lane count; ~4
-  // panels per lane so fast lanes steal the stragglers' leftovers.
+  // Row panels, ~4 per lane so fast lanes steal the stragglers' leftovers.
   int panel = (m + lanes * 4 - 1) / (lanes * 4);
   panel = std::max(kMr, (panel + kMr - 1) / kMr * kMr);
   const int panels = (m + panel - 1) / panel;
   parallel_for(panels, [&](int pi) {
-    const int r0 = pi * panel;
-    const int rows = std::min(panel, m - r0);
-    gemm_rows(a + static_cast<std::size_t>(r0) * lda, lda, b, ldb,
-              c + static_cast<std::size_t>(r0) * ldc, ldc, rows, k, n, o);
+    const std::size_t r0 = static_cast<std::size_t>(pi) * panel;
+    const int rows = std::min(panel, m - static_cast<int>(r0));
+    Epilogue pe = e;
+    if (pe.res != nullptr) pe.res += r0 * ldc;
+    gemm_rows(a + r0 * lda, lda, b, ldb, c + r0 * ldc, ldc, rows, k, n, pe);
   });
 }
 
-// ---- fused row kernels ----------------------------------------------------
+// ---- attention ------------------------------------------------------------
 
 namespace {
 
@@ -542,62 +591,149 @@ __attribute__((always_inline)) inline float row_max(const float* row, int d) {
   return mx;
 }
 
-// Same shape as the autograd softmax: stable max-shift, exponentiate,
-// sequentially-ordered denominator sum (keeps the summation order), scale.
-// Only the exp is approximated and the max reduced in lanes.
-__attribute__((always_inline)) inline void softmax_span_body(float* x,
-                                                             std::size_t rows,
-                                                             int d) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* row = x + r * static_cast<std::size_t>(d);
-    const float mx = row_max(row, d);
-    for (int j = 0; j < d; ++j) row[j] = fast_exp(row[j] - mx);
+// Max-shifted softmax of the first t scores of each row of s, row stride
+// tp (a multiple of 8; the padding lanes are scratch). The row denominator
+// is summed in key order, the same order for both bodies.
+void softmax_rows_base(float* s, int rows, int t, int tp) {
+  for (int r = 0; r < rows; ++r) {
+    float* row = s + static_cast<std::size_t>(r) * tp;
+    const float mx = row_max(row, t);
     float denom = 0.0F;
-    for (int j = 0; j < d; ++j) denom += row[j];
+    for (int j = 0; j < t; ++j) denom += row[j] = fast_exp(row[j] - mx);
     const float inv = 1.0F / denom;
-    for (int j = 0; j < d; ++j) row[j] *= inv;
+    for (int j = 0; j < t; ++j) row[j] *= inv;
   }
 }
 
-#ifdef EASZ_KERN_X86_DISPATCH
-__attribute__((target("avx2,fma"))) void softmax_span_avx2(float* x,
-                                                           std::size_t rows,
-                                                           int d) {
-  softmax_span_body(x, rows, d);
-}
-#endif
+#ifdef EASZ_KERN_AVX2
 
-void softmax_span(float* x, std::size_t rows, int d) {
-#ifdef EASZ_KERN_X86_DISPATCH
-  static const bool use_avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (use_avx2) {
-    softmax_span_avx2(x, rows, d);
+// Whole vectors only: a masked store would defeat store-to-load
+// forwarding on the next pass over the row.
+__attribute__((target("avx2"))) void softmax_rows_avx2(float* s, int rows,
+                                                       int t, int tp) {
+  for (int r = 0; r < rows; ++r) {
+    float* row = s + static_cast<std::size_t>(r) * tp;
+    const __m256 mx = _mm256_set1_ps(row_max(row, t));
+    for (int j = 0; j < tp; j += 8) {
+      _mm256_storeu_ps(row + j, detail::fast_exp_v8(_mm256_sub_ps(
+                                    _mm256_loadu_ps(row + j), mx)));
+    }
+    float denom = 0.0F;
+    for (int j = 0; j < t; ++j) denom += row[j];
+    const __m256 inv = _mm256_set1_ps(1.0F / denom);
+    for (int j = 0; j < tp; j += 8) {
+      _mm256_storeu_ps(row + j, _mm256_mul_ps(_mm256_loadu_ps(row + j), inv));
+    }
+  }
+}
+
+#endif  // EASZ_KERN_AVX2
+
+void softmax_rows(float* s, int rows, int t, int tp) {
+#ifdef EASZ_KERN_AVX2
+  if (use_avx2()) {
+    softmax_rows_avx2(s, rows, t, tp);
     return;
   }
 #endif
-  softmax_span_body(x, rows, d);
+  softmax_rows_base(s, rows, t, tp);
 }
 
-void layernorm_span(const float* x, const float* gamma, const float* beta,
-                    float* y, std::size_t rows, int d, float eps) {
+// Per-lane scratch for one head's K^T and its [T, tp] score tile. Grow-only:
+// a steady-state forward allocates nothing.
+std::vector<float>& attention_scratch() {
+  static thread_local std::vector<float> scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void attention(const float* qkv, float* out, int batch, int tokens, int heads,
+               int head_dim) {
+  if (batch <= 0 || tokens <= 0 || heads <= 0 || head_dim <= 0) return;
+  const std::size_t t = static_cast<std::size_t>(tokens);
+  const int tp = (tokens + 7) / 8 * 8;  // score rows in whole vectors
+  const std::size_t d = static_cast<std::size_t>(heads) * head_dim;
+  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
+  // One task per (batch, head) on strided views into the qkv buffer: pack
+  // K^T / sqrt(head_dim), zero-padded to tp keys, into the lane's tile; QK^T
+  // and the V product run on the GEMM's register tiles, the softmax in
+  // between on the lane's [T, tp] score tile.
+  const auto task = [&](int task_index) {
+    const std::size_t bi = static_cast<std::size_t>(task_index / heads);
+    const std::size_t col = static_cast<std::size_t>(task_index % heads) *
+                            static_cast<std::size_t>(head_dim);
+    const float* base = qkv + bi * t * 3 * d;
+    std::vector<float>& scratch = attention_scratch();
+    const std::size_t need = static_cast<std::size_t>(head_dim + tokens) * tp;
+    if (scratch.size() < need) scratch.resize(need);
+    float* kt = scratch.data();
+    float* scores = kt + static_cast<std::size_t>(head_dim) * tp;
+    std::fill(kt, scores, 0.0F);
+    for (std::size_t j = 0; j < t; ++j) {
+      const float* krow = base + j * 3 * d + d + col;
+      for (int p = 0; p < head_dim; ++p) kt[p * tp + j] = krow[p] * scale;
+    }
+    const Epilogue none{nullptr, nullptr, false};
+    gemm_rows(base + col, 3 * d, kt, tp, scores, tp, tokens, head_dim, tp,
+              none);
+    softmax_rows(scores, tokens, tokens, tp);
+    gemm_rows(scores, tp, base + 2 * d + col, 3 * d, out + bi * t * d + col, d,
+              tokens, tokens, head_dim, none);
+  };
+  parallel_for(batch * heads, task);
+}
+
+// ---- layernorm ------------------------------------------------------------
+
+namespace {
+
+// Mean and variance are summed in 8 interleaved lanes (lane c takes
+// elements c, c + 8, ... in order), the lanes then added in order, then the
+// tail. Plain loops without a clamp, so the AVX2 build vectorises them; it
+// has no fma, so both builds give identical bits.
+__attribute__((always_inline)) inline void layernorm_span_body(
+    const float* x, const float* gamma, const float* beta, float* y,
+    std::size_t rows, int d, float eps) {
+  const int d8 = d / 8 * 8;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* xr = x + r * static_cast<std::size_t>(d);
     float* yr = y + r * static_cast<std::size_t>(d);
-    float mu = 0.0F;
-    for (int j = 0; j < d; ++j) mu += xr[j];
-    mu /= static_cast<float>(d);
-    float var = 0.0F;
-    for (int j = 0; j < d; ++j) {
-      const float cjm = xr[j] - mu;
-      var += cjm * cjm;
+    float sum[8] = {};
+    for (int j = 0; j < d8; j += 8) {
+      for (int c = 0; c < 8; ++c) sum[c] += xr[j + c];
     }
+    float mu = 0.0F;
+    for (const float v : sum) mu += v;
+    for (int j = d8; j < d; ++j) mu += xr[j];
+    mu /= static_cast<float>(d);
+    float sq[8] = {};
+    for (int j = 0; j < d8; j += 8) {
+      for (int c = 0; c < 8; ++c) sq[c] += (xr[j + c] - mu) * (xr[j + c] - mu);
+    }
+    float var = 0.0F;
+    for (const float v : sq) var += v;
+    for (int j = d8; j < d; ++j) var += (xr[j] - mu) * (xr[j] - mu);
     var /= static_cast<float>(d);
     const float inv_sd = 1.0F / std::sqrt(var + eps);
     for (int j = 0; j < d; ++j) {
       yr[j] = (xr[j] - mu) * inv_sd * gamma[j] + beta[j];
     }
   }
+}
+
+#ifdef EASZ_KERN_AVX2
+__attribute__((target("avx2"))) void layernorm_span_avx2(
+    const float* x, const float* gamma, const float* beta, float* y,
+    std::size_t rows, int d, float eps) {
+  layernorm_span_body(x, gamma, beta, y, rows, d, eps);
+}
+#endif
+
+void layernorm_span_base(const float* x, const float* gamma,
+                         const float* beta, float* y, std::size_t rows, int d,
+                         float eps) {
+  layernorm_span_body(x, gamma, beta, y, rows, d, eps);
 }
 
 // Splits `rows` into ~4 chunks per lane and runs `fn(first, count)`.
@@ -620,20 +756,19 @@ void parallel_rows(std::size_t rows, std::size_t min_rows, bool parallel,
 
 }  // namespace
 
-void softmax_rows(float* x, std::size_t rows, int d, bool parallel) {
-  if (rows == 0 || d <= 0) return;
-  parallel_rows(rows, 256, parallel, [&](std::size_t first, std::size_t n) {
-    softmax_span(x + first * static_cast<std::size_t>(d), n, d);
-  });
-}
-
 void layernorm_rows(const float* x, const float* gamma, const float* beta,
                     float* y, std::size_t rows, int d, float eps,
                     bool parallel) {
   if (rows == 0 || d <= 0) return;
   parallel_rows(rows, 256, parallel, [&](std::size_t first, std::size_t n) {
     const std::size_t off = first * static_cast<std::size_t>(d);
-    layernorm_span(x + off, gamma, beta, y + off, n, d, eps);
+#ifdef EASZ_KERN_AVX2
+    if (use_avx2()) {
+      layernorm_span_avx2(x + off, gamma, beta, y + off, n, d, eps);
+      return;
+    }
+#endif
+    layernorm_span_base(x + off, gamma, beta, y + off, n, d, eps);
   });
 }
 

@@ -8,22 +8,28 @@
 // the nn/ infer path is built from:
 //
 //  * gemm(): blocked, register-tiled matrix multiply over raw float spans
-//    with arbitrary row strides, optional transposed B, an optional fused
-//    scale / bias / GELU epilogue, and row-panel parallelism on a
-//    persistent process-global thread pool (idle lanes dynamically steal
-//    the next unclaimed panel).
-//  * softmax_rows() / layernorm_rows(): fused single-pass row kernels.
+//    with arbitrary row strides, a fused bias / GELU / residual epilogue,
+//    and row-panel parallelism on a persistent process-global thread pool
+//    (idle lanes dynamically steal the next unclaimed panel).
+//  * attention(): fused multi-head attention, one task per (batch, head):
+//    QK^T, max-shifted softmax and the V product on one lane-local score
+//    tile, with no [batch * heads * T * T] slab in the workspace.
+//  * layernorm_rows(): fused single-pass row kernel.
 //  * Workspace: a grow-only bump arena for activations, so a steady-state
 //    forward performs zero heap allocations (see Workspace notes).
 //
 // Equivalence contract (asserted by tests/kernels_test.cpp): every kernel
 // accumulates each output element over k in ascending order with one fp32
 // accumulator — the same summation order as the autograd ops. The only
-// deliberate numeric deviations are fused multiply-adds (where the CPU
-// supports them) and a ~2-ulp polynomial exp inside softmax/GELU; both sit
-// orders of magnitude inside the tested 1e-5 bound. On x86-64 the hot
-// loops are compiled twice (AVX2+FMA and baseline) and dispatched once at
-// runtime, so the binary stays portable.
+// deliberate numeric deviations are fused multiply-adds in the GEMM loop
+// (where the CPU supports them), a ~2-ulp polynomial exp inside softmax/GELU,
+// K pre-scaled by 1/sqrt(head_dim) in attention and layernorm's 8-lane
+// mean/variance sums; all sit orders of magnitude inside the tested 1e-5
+// bound. On x86-64 every kernel has an explicit AVX2 body and a portable
+// twin, dispatched once at runtime, so the binary stays portable. Outside
+// the GEMM's multiply-add chain the two bodies are bit-identical, and every
+// output row depends only on its own input row, so a row's bytes never
+// depend on its position in a batch.
 //
 // Threading rules:
 //  * set_threads() resizes the pool; call it only while no parallel_for is
@@ -119,24 +125,29 @@ class Workspace {
 // ---- GEMM -----------------------------------------------------------------
 
 struct GemmOpts {
-  const float* bias = nullptr;  ///< [n], added to every output row
-  bool gelu = false;            ///< tanh-approx GELU fused after bias
-  float scale = 1.0F;           ///< multiplies the dot product (before bias)
-  bool transpose_b = false;     ///< B is [n, k] row-major (attention K^T)
-  bool parallel = true;         ///< false inside parallel_for tasks
+  const float* bias = nullptr;      ///< [n], added to every output row
+  bool gelu = false;                ///< tanh-approx GELU fused after bias
+  const float* residual = nullptr;  ///< [m, n] with row stride ldc, added last
+  bool parallel = true;             ///< false inside parallel_for tasks
 };
 
 /// C[m, n] = epilogue(A[m, k] * B) with row strides lda/ldb/ldc (>= the
-/// logical row width). B is [k, n] (or [n, k] when transpose_b). Output is
-/// overwritten, not accumulated. Preconditions unchecked (hot path).
+/// logical row width), B [k, n]. Epilogue order: bias, GELU, then
+/// residual[i][j] + value. Output is overwritten, not accumulated (it may
+/// alias the residual). Preconditions unchecked (hot path).
 void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float* c, std::size_t ldc, int m, int k, int n,
           const GemmOpts& opts = {});
 
 // ---- fused row kernels ----------------------------------------------------
 
-/// In-place numerically-stable softmax over each row of x [rows, d].
-void softmax_rows(float* x, std::size_t rows, int d, bool parallel = true);
+/// Scaled-dot-product attention for every (batch, head). qkv is
+/// [batch * tokens, 3 * heads * head_dim] (Q | K | V, head h at column
+/// h * head_dim of each third); out is [batch * tokens, heads * head_dim].
+/// Per query row: s = QK^T / sqrt(head_dim), w = softmax(s), out = w V.
+/// Tasks run on the pool; not for use inside a parallel_for task.
+void attention(const float* qkv, float* out, int batch, int tokens, int heads,
+               int head_dim);
 
 /// y[r] = (x[r] - mu_r) * inv_sd_r * gamma + beta per row of x [rows, d].
 /// y may alias x.
@@ -149,7 +160,8 @@ void add_rows(const float* a, const float* b, float* out, std::size_t n);
 
 /// Reference scalar of the tanh-approx GELU the fused epilogue applies.
 /// Same formula as tensor::gelu's forward, with tanh evaluated through the
-/// layer's polynomial exp (agreement ~1e-7, inside the 1e-5 contract).
+/// layer's polynomial exp (agreement ~1e-7, inside the 1e-5 contract). The
+/// AVX2 epilogue reproduces it bit-for-bit.
 float gelu_scalar(float x);
 
 // ---- int8 GEMM (kernels_int8.cpp) -----------------------------------------
@@ -162,7 +174,7 @@ float gelu_scalar(float x);
 //   accumulate   exact i32 (no saturation anywhere; k is bounded so the
 //                 worst case 255 * 127 * k stays far below 2^31)
 //   dequantize   y[i][j] = float(acc - 128 * col_sum[j]) * dq_scale[j]
-//                          (+ bias[j]) (GELU'd), with
+//                          (+ bias[j]) (GELU'd) (+ residual), with
 //                 dq_scale[j] = act_scale * w_scale[j] and
 //                 col_sum[j] = sum_p wq[p][j] (the zero-point correction).
 //
@@ -201,9 +213,10 @@ void quantize_rows_u8(const float* x, std::uint8_t* q, std::size_t count,
                       float act_scale);
 
 struct QuantGemmOpts {
-  const float* bias = nullptr;  ///< [n], added after dequantization
-  bool gelu = false;            ///< same tanh-approx GELU as GemmOpts
-  bool parallel = true;         ///< false inside parallel_for tasks
+  const float* bias = nullptr;      ///< [n], added after dequantization
+  bool gelu = false;                ///< same tanh-approx GELU as GemmOpts
+  const float* residual = nullptr;  ///< same contract as GemmOpts::residual
+  bool parallel = true;             ///< false inside parallel_for tasks
 };
 
 /// C[m, n] = epilogue(dequant(A_u8[m, k] * B_s8)) with row strides lda/ldc.

@@ -1,8 +1,8 @@
 // Int8 inference GEMM (tensor::kern, DESIGN.md §7).
 //
 // u8 activations (zero point 128) times s8 per-output-channel weights with
-// exact i32 accumulation and a fused dequant + bias + GELU epilogue. Split
-// of labour between the two compiled paths:
+// exact i32 accumulation and a fused dequant + bias + GELU (+ residual)
+// epilogue. Split of labour between the two compiled paths:
 //
 //   * integer part — AVX2 (vpmaddwd over k-pairs) or portable scalar, both
 //     reading the same pair-interleaved PackedBInt8 layout. Integer sums
@@ -16,11 +16,10 @@
 //     buys exactness.
 //   * dequant epilogue — ONE scalar op sequence (dequant_row) with an
 //     AVX2 twin built ONLY from per-lane-exact intrinsics: mul/add/sub/
-//     div/min/max/cvt and integer bit ops, never FMA and never compiler-
-//     autovectorised AVX2 C code (GCC would contract mul+add chains under
-//     a target attribute and shift the last bits). Every one of those
-//     intrinsics is IEEE-defined per lane, so the two epilogues agree
-//     bit-for-bit — including the polynomial fast_exp inside GELU — and
+//     div/min/max/cvt and integer bit ops, compiled without fma (GCC
+//     would contract mul+add chains otherwise, see kern_math.hpp). Each
+//     is IEEE-defined per lane, so the two epilogues agree bit-for-bit —
+//     including the polynomial fast_exp inside GELU — and
 //     the fp32 outputs are identical on every x86-64 machine. The golden
 //     bytes in tests/golden_int8.inc pin exactly this.
 //
@@ -34,11 +33,6 @@
 
 #include "tensor/kern_math.hpp"
 #include "tensor/kernels.hpp"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EASZ_KERN_INT8_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace easz::tensor::kern {
 
@@ -56,74 +50,34 @@ constexpr std::size_t kParallelMinOps = 65536;
 // Scalar reference semantics; the AVX2 twin below replicates this exact
 // operation sequence lane-wise (see file comment for why that is bit-safe).
 
-void dequant_row(const std::int32_t* acc, float* c, int j0, int n,
-                 const float* dq_scale, const std::int32_t* col_sum,
-                 const float* bias, bool gelu) {
+struct Dequant {
+  const float* dq_scale;
+  const std::int32_t* col_sum;
+  const float* bias;
+  const float* res;  // row stride ldc, same rows as C
+  bool gelu;
+};
+
+void dequant_row(const std::int32_t* acc, float* c, const float* res, int j0,
+                 int n, const Dequant& q) {
   for (int j = 0; j < n; ++j) {
     const int col = j0 + j;
-    float v = static_cast<float>(acc[j] - kActZeroPoint * col_sum[col]) *
-              dq_scale[col];
-    if (bias != nullptr) v += bias[col];
-    if (gelu) v = detail::gelu_approx(v);
+    float v = static_cast<float>(acc[j] - kActZeroPoint * q.col_sum[col]) *
+              q.dq_scale[col];
+    if (q.bias != nullptr) v += q.bias[col];
+    if (q.gelu) v = detail::gelu_approx(v);
+    if (res != nullptr) v = res[col] + v;
     c[col] = v;
   }
 }
 
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_AVX2
 
-// fast_exp (kern_math.hpp) transcribed op-for-op onto 8 lanes. Separate
-// _mm256_mul_ps / _mm256_add_ps — the compiler never fuses explicit
-// intrinsics into FMA, so each lane reproduces the scalar rounding.
-__attribute__((target("avx2"), always_inline)) inline __m256 fast_exp_v8(
-    __m256 x) {
-  const __m256 log2e = _mm256_set1_ps(1.44269504088896341F);
-  const __m256 ln2_hi = _mm256_set1_ps(0.693359375F);
-  const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4F);
-  const __m256 round_c = _mm256_set1_ps(12582912.0F);  // 1.5 * 2^23
-  x = _mm256_max_ps(_mm256_set1_ps(-87.0F),
-                    _mm256_min_ps(_mm256_set1_ps(88.0F), x));
-  const __m256 z = _mm256_add_ps(_mm256_mul_ps(x, log2e), round_c);
-  const __m256 n = _mm256_sub_ps(z, round_c);
-  const __m256 r = _mm256_sub_ps(_mm256_sub_ps(x, _mm256_mul_ps(n, ln2_hi)),
-                                 _mm256_mul_ps(n, ln2_lo));
-  __m256 p = _mm256_set1_ps(1.9875691500e-4F);
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.3981999507e-3F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(8.3334519073e-3F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(4.1665795894e-2F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.6666665459e-1F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(5.0000001201e-1F));
-  // er = ((p*r)*r + r) + 1
-  const __m256 er = _mm256_add_ps(
-      _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, r), r), r),
-      _mm256_set1_ps(1.0F));
-  const __m256i ni = _mm256_sub_epi32(_mm256_castps_si256(z),
-                                      _mm256_castps_si256(round_c));
-  const __m256 scale = _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_add_epi32(ni, _mm256_set1_epi32(127)), 23));
-  return _mm256_mul_ps(er, scale);
-}
-
-// gelu_approx transcribed the same way: inner = kC * (x + ((kA*x)*x)*x),
-// t = 1 - 2 / (e^{2*inner} + 1), y = (0.5*x) * (1 + t).
-__attribute__((target("avx2"), always_inline)) inline __m256 gelu_v8(
-    __m256 x) {
-  const __m256 kc = _mm256_set1_ps(0.7978845608F);
-  const __m256 ka = _mm256_set1_ps(0.044715F);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(ka, x), x), x);
-  const __m256 inner = _mm256_mul_ps(kc, _mm256_add_ps(x, x3));
-  const __m256 e2u =
-      fast_exp_v8(_mm256_mul_ps(_mm256_set1_ps(2.0F), inner));
-  const __m256 t = _mm256_sub_ps(
-      one, _mm256_div_ps(_mm256_set1_ps(2.0F), _mm256_add_ps(e2u, one)));
-  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5F), x),
-                       _mm256_add_ps(one, t));
-}
-
-// 8 columns of the epilogue. acc already holds the raw i32 dot products.
+// 8 columns of the epilogue. acc holds the raw i32 dot products; every
+// pointer is already offset to the first of the 8 columns.
 __attribute__((target("avx2"), always_inline)) inline void dequant8(
     __m256i acc, float* c, const float* dq_scale, const std::int32_t* col_sum,
-    const float* bias, bool gelu) {
+    const float* bias, const float* res, bool gelu) {
   const __m256i zp = _mm256_set1_epi32(kActZeroPoint);
   const __m256i cs = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(col_sum));
@@ -132,11 +86,12 @@ __attribute__((target("avx2"), always_inline)) inline void dequant8(
   __m256 v = _mm256_mul_ps(_mm256_cvtepi32_ps(corrected),
                            _mm256_loadu_ps(dq_scale));
   if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias));
-  if (gelu) v = gelu_v8(v);
+  if (gelu) v = detail::gelu_v8(v);
+  if (res != nullptr) v = _mm256_add_ps(_mm256_loadu_ps(res), v);
   _mm256_storeu_ps(c, v);
 }
 
-#endif  // EASZ_KERN_INT8_AVX2
+#endif  // EASZ_KERN_AVX2
 
 // Packs `rows` rows of A into k-pair u32 words:
 // word[r][p] = a[r][2p] | a[r][2p+1] << 16. Odd k pads the final a1 with
@@ -176,24 +131,23 @@ void accumulate_scalar(const std::uint32_t* a_pairs, int kp,
 
 void gemm_rows_u8s8_base(const std::uint32_t* a_pairs, std::size_t apld,
                          int kp, const PackedBInt8& b, float* c,
-                         std::size_t ldc, int rows, int n,
-                         const float* dq_scale, const std::int32_t* col_sum,
-                         const float* bias, bool gelu) {
+                         std::size_t ldc, int rows, int n, const Dequant& q) {
   std::int32_t acc[kNc8];
   for (int r = 0; r < rows; ++r) {
     const std::uint32_t* arow = a_pairs + static_cast<std::size_t>(r) * apld;
-    float* crow = c + static_cast<std::size_t>(r) * ldc;
+    const std::size_t row = static_cast<std::size_t>(r) * ldc;
     for (int j = 0; j < n; j += kNc8) {
       const int cols = std::min(kNc8, n - j);
       accumulate_scalar(arow, kp, b.data.data(), n, j, cols, acc);
-      dequant_row(acc, crow, j, cols, dq_scale, col_sum, bias, gelu);
+      dequant_row(acc, c + row, q.res == nullptr ? nullptr : q.res + row, j,
+                  cols, q);
     }
   }
 }
 
 // ---- AVX2 integer kernel --------------------------------------------------
 
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_AVX2
 
 // 4 rows x 16 columns of i32 accumulators (8 ymm registers) live across the
 // whole k loop. Per k-pair: two 16-byte B loads cover 16 columns x 2 k
@@ -202,10 +156,15 @@ void gemm_rows_u8s8_base(const std::uint32_t* a_pairs, std::size_t apld,
 __attribute__((target("avx2"))) void gemm_rows_u8s8_avx2(
     const std::uint32_t* a_pairs, std::size_t apld, int kp,
     const PackedBInt8& b, float* c, std::size_t ldc, int rows, int n,
-    const float* dq_scale, const std::int32_t* col_sum, const float* bias,
-    bool gelu) {
+    const Dequant& q) {
   const std::int8_t* bp = b.data.data();
   alignas(32) std::int32_t acc_store[kNc8];
+  // Plain locals, not reads through q: with the struct live across the k
+  // loop GCC spilled an accumulator to the stack.
+  const float* dq_scale = q.dq_scale;
+  const std::int32_t* col_sum = q.col_sum;
+  const float* bias = q.bias;
+  const bool gelu = q.gelu;
 
   int r = 0;
   for (; r + kMr8 <= rows; r += kMr8) {
@@ -237,49 +196,51 @@ __attribute__((target("avx2"))) void gemm_rows_u8s8_avx2(
         }
       }
       for (int t = 0; t < kMr8; ++t) {
-        float* crow = c + static_cast<std::size_t>(r + t) * ldc + j;
-        dequant8(acc0[t], crow, dq_scale + j, col_sum + j,
-                 bias == nullptr ? nullptr : bias + j, gelu);
-        dequant8(acc1[t], crow + 8, dq_scale + j + 8, col_sum + j + 8,
-                 bias == nullptr ? nullptr : bias + j + 8, gelu);
+        const std::size_t at = static_cast<std::size_t>(r + t) * ldc + j;
+        const float* res = q.res == nullptr ? nullptr : q.res + at;
+        dequant8(acc0[t], c + at, dq_scale + j, col_sum + j,
+                 bias == nullptr ? nullptr : bias + j, res, gelu);
+        dequant8(acc1[t], c + at + 8, dq_scale + j + 8, col_sum + j + 8,
+                 bias == nullptr ? nullptr : bias + j + 8,
+                 res == nullptr ? nullptr : res + 8, gelu);
       }
     }
     if (j < n) {  // column remainder: scalar integer path, same epilogue
       const int cols = n - j;
       for (int t = 0; t < kMr8; ++t) {
+        const std::size_t row = static_cast<std::size_t>(r + t) * ldc;
         accumulate_scalar(ar[t], kp, bp, n, j, cols, acc_store);
-        dequant_row(acc_store, c + static_cast<std::size_t>(r + t) * ldc, j,
-                    cols, dq_scale, col_sum, bias, gelu);
+        dequant_row(acc_store, c + row,
+                    q.res == nullptr ? nullptr : q.res + row, j, cols, q);
       }
     }
   }
   if (r < rows) {  // row remainder, one row at a time
+    Dequant rq = q;
+    if (rq.res != nullptr) rq.res += static_cast<std::size_t>(r) * ldc;
     gemm_rows_u8s8_base(a_pairs + static_cast<std::size_t>(r) * apld, apld,
                         kp, b, c + static_cast<std::size_t>(r) * ldc, ldc,
-                        rows - r, n, dq_scale, col_sum, bias, gelu);
+                        rows - r, n, rq);
   }
 }
 
-#endif  // EASZ_KERN_INT8_AVX2
+#endif  // EASZ_KERN_AVX2
 
 void gemm_rows_u8s8(const std::uint32_t* a_pairs, std::size_t apld, int kp,
                     const PackedBInt8& b, float* c, std::size_t ldc, int rows,
-                    int n, const float* dq_scale, const std::int32_t* col_sum,
-                    const float* bias, bool gelu) {
-#ifdef EASZ_KERN_INT8_AVX2
+                    int n, const Dequant& q) {
+#ifdef EASZ_KERN_AVX2
   static const bool use_avx2 = __builtin_cpu_supports("avx2");
   if (use_avx2) {
-    gemm_rows_u8s8_avx2(a_pairs, apld, kp, b, c, ldc, rows, n, dq_scale,
-                        col_sum, bias, gelu);
+    gemm_rows_u8s8_avx2(a_pairs, apld, kp, b, c, ldc, rows, n, q);
     return;
   }
 #endif
-  gemm_rows_u8s8_base(a_pairs, apld, kp, b, c, ldc, rows, n, dq_scale,
-                      col_sum, bias, gelu);
+  gemm_rows_u8s8_base(a_pairs, apld, kp, b, c, ldc, rows, n, q);
 }
 
 // Grow-only per-thread scratch for the packed-A pairs. Steady state: zero
-// allocations, like the fp32 transpose pack.
+// allocations.
 std::vector<std::uint32_t>& a_pack_scratch() {
   static thread_local std::vector<std::uint32_t> scratch;
   return scratch;
@@ -330,7 +291,7 @@ void quantize_span_base(const float* x, std::uint8_t* q, std::size_t count,
   }
 }
 
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_AVX2
 
 // 32 values per iteration: cvtps_epi32 rounds nearest-even exactly like
 // lrintf, and the packs/packus pair saturates exactly like the scalar
@@ -365,14 +326,14 @@ __attribute__((target("avx2"))) void quantize_span_avx2(const float* x,
   if (i < count) quantize_span_base(x + i, q + i, count - i, inv);
 }
 
-#endif  // EASZ_KERN_INT8_AVX2
+#endif  // EASZ_KERN_AVX2
 
 }  // namespace
 
 void quantize_rows_u8(const float* x, std::uint8_t* q, std::size_t count,
                       float act_scale) {
   const float inv = 1.0F / act_scale;
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_AVX2
   static const bool use_avx2 = __builtin_cpu_supports("avx2");
   if (use_avx2) {
     quantize_span_avx2(x, q, count, inv);
@@ -399,11 +360,12 @@ void gemm_u8s8(const std::uint8_t* a, std::size_t lda, const PackedBInt8& b,
   if (pairs.size() < need) pairs.resize(need);
   pack_a_pairs(a, lda, m, k, pairs.data(), kp);
 
+  const Dequant q{dq_scale, col_sum, opts.bias, opts.residual, opts.gelu};
   const std::size_t work = static_cast<std::size_t>(m) * n * k;
   const int lanes = threads();
   if (!opts.parallel || lanes <= 1 || work < kParallelMinOps) {
     gemm_rows_u8s8(pairs.data(), static_cast<std::size_t>(kp), kp, b, c, ldc,
-                   m, n, dq_scale, col_sum, opts.bias, opts.gelu);
+                   m, n, q);
     return;
   }
   // Row panels in micro-tile multiples, ~4 per lane (see fp32 gemm).
@@ -413,10 +375,11 @@ void gemm_u8s8(const std::uint8_t* a, std::size_t lda, const PackedBInt8& b,
   parallel_for(panels, [&](int pi) {
     const int r0 = pi * panel;
     const int rows = std::min(panel, m - r0);
+    Dequant pq = q;
+    if (pq.res != nullptr) pq.res += static_cast<std::size_t>(r0) * ldc;
     gemm_rows_u8s8(pairs.data() + static_cast<std::size_t>(r0) * kp,
                    static_cast<std::size_t>(kp), kp, b,
-                   c + static_cast<std::size_t>(r0) * ldc, ldc, rows, n,
-                   dq_scale, col_sum, opts.bias, opts.gelu);
+                   c + static_cast<std::size_t>(r0) * ldc, ldc, rows, n, pq);
   });
 }
 

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -20,6 +24,7 @@
 #include "data/synth.hpp"
 #include "nn/transformer.hpp"
 #include "serve/server.hpp"
+#include "tensor/kern_math.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "util/prng.hpp"
@@ -66,22 +71,6 @@ TEST(KernGemm, MatchesAutogradMatmul) {
     kern::gemm(a.data().data(), k, b.data().data(), n, got.data(), n, m, k, n);
     expect_close(got.data(), want.data().data(), got.size());
   }
-}
-
-TEST(KernGemm, TransposeBWithScaleMatchesScaledBmm) {
-  util::Pcg32 rng(2);
-  const int t = 11, hd = 7;
-  Tensor q = Tensor::randn({1, t, hd}, rng);
-  Tensor k = Tensor::randn({1, t, hd}, rng);
-  const Tensor want = tensor::scale(tensor::bmm(q, k, /*transpose_b=*/true),
-                                    0.377964F);
-  std::vector<float> got(static_cast<std::size_t>(t) * t);
-  kern::GemmOpts opts;
-  opts.transpose_b = true;
-  opts.scale = 0.377964F;
-  kern::gemm(q.data().data(), hd, k.data().data(), hd, got.data(), t, t, hd, t,
-             opts);
-  expect_close(got.data(), want.data().data(), got.size());
 }
 
 TEST(KernGemm, FusedBiasGeluMatchesOpChain) {
@@ -157,16 +146,63 @@ TEST(KernGemm, ParallelMatchesSerialExactly) {
   }
 }
 
-// ---------------------------------------------------------------- row kernels
-
-TEST(KernRows, SoftmaxMatchesAutograd) {
-  util::Pcg32 rng(6);
-  Tensor x = Tensor::randn({7, 33}, rng, 3.0F);
-  const Tensor want = tensor::softmax(x);
-  std::vector<float> got(x.data());
-  kern::softmax_rows(got.data(), 7, 33);
-  expect_close(got.data(), want.data().data(), got.size());
+TEST(KernGemm, ResidualEpilogueEqualsSeparateAdd) {
+  // The fused residual is the last epilogue step, residual + value: the
+  // same bytes as the unfused GEMM followed by add_rows.
+  util::Pcg32 rng(12);
+  const int m = 11, k = 17, n = 29;
+  Tensor a = Tensor::randn({m, k}, rng);
+  Tensor b = Tensor::randn({k, n}, rng);
+  Tensor bias = Tensor::randn({n}, rng);
+  Tensor res = Tensor::randn({m, n}, rng);
+  for (const bool gelu : {false, true}) {
+    kern::GemmOpts opts;
+    opts.bias = bias.data().data();
+    opts.gelu = gelu;
+    std::vector<float> want(static_cast<std::size_t>(m) * n);
+    kern::gemm(a.data().data(), k, b.data().data(), n, want.data(), n, m, k,
+               n, opts);
+    kern::add_rows(res.data().data(), want.data(), want.data(), want.size());
+    opts.residual = res.data().data();
+    std::vector<float> got(want.size());
+    kern::gemm(a.data().data(), k, b.data().data(), n, got.data(), n, m, k, n,
+               opts);
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.size() * 4));
+  }
 }
+
+TEST(KernGemm, RowBytesIndependentOfPositionInBatch) {
+  // A row computed alone (row remainder), inside a full 4-row tile or in
+  // the remainder after tiles must come out bit-identical, so a patch's
+  // reconstruction never depends on where it sits in a pooled batch.
+  util::Pcg32 rng(13);
+  const int k = 19;
+  for (int n = 1; n <= 49; ++n) {
+    Tensor a = Tensor::randn({9, k}, rng);
+    Tensor b = Tensor::randn({k, n}, rng, 0.5F);
+    Tensor bias = Tensor::randn({n}, rng);
+    for (int variant = 0; variant < 3; ++variant) {
+      kern::GemmOpts opts;
+      opts.parallel = false;
+      opts.bias = variant > 0 ? bias.data().data() : nullptr;
+      opts.gelu = variant == 2;
+      std::vector<float> alone(static_cast<std::size_t>(9) * n);
+      for (int i = 0; i < 9; ++i) {
+        kern::gemm(a.data().data() + i * k, k, b.data().data(), n,
+                   alone.data() + i * n, n, 1, k, n, opts);
+      }
+      for (int m = 1; m <= 9; ++m) {
+        std::vector<float> batch(static_cast<std::size_t>(m) * n);
+        kern::gemm(a.data().data(), k, b.data().data(), n, batch.data(), n, m,
+                   k, n, opts);
+        ASSERT_EQ(0, std::memcmp(alone.data(), batch.data(), batch.size() * 4))
+            << "m=" << m << " n=" << n << " variant=" << variant;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------- row kernels
 
 TEST(KernRows, LayernormMatchesAutograd) {
   util::Pcg32 rng(7);
@@ -179,6 +215,160 @@ TEST(KernRows, LayernormMatchesAutograd) {
                        beta.data().data(), got.data(), 9, 24);
   expect_close(got.data(), want.data().data(), got.size());
 }
+
+// ---------------------------------------------------------------- attention
+
+// One head of kern::attention with V = I (head_dim == tokens): the output
+// rows are then exactly the softmax weights.
+std::vector<float> attention_weights(const std::vector<float>& q,
+                                     const std::vector<float>& k, int t) {
+  const std::size_t ld = 3 * static_cast<std::size_t>(t);
+  std::vector<float> qkv(ld * t, 0.0F);
+  for (int i = 0; i < t; ++i) {
+    for (int p = 0; p < t; ++p) {
+      qkv[i * ld + p] = q[i * t + p];
+      qkv[i * ld + t + p] = k[i * t + p];
+    }
+    qkv[i * ld + 2 * t + i] = 1.0F;
+  }
+  std::vector<float> w(static_cast<std::size_t>(t) * t);
+  kern::attention(qkv.data(), w.data(), 1, t, 1, t);
+  return w;
+}
+
+TEST(KernAttention, WeightsMatchScaledSoftmaxOfScores) {
+  // The fused kernel's QK^T / sqrt(d) -> softmax stage against the autograd
+  // op chain, at the 1e-5 contract, on a short and a 33-key row.
+  util::Pcg32 rng(2);
+  for (const int t : {11, 33}) {
+    Tensor q = Tensor::randn({1, t, t}, rng, 3.0F);
+    Tensor k = Tensor::randn({1, t, t}, rng);
+    const Tensor want = tensor::softmax(
+        tensor::scale(tensor::bmm(q, k, /*transpose_b=*/true),
+                      1.0F / std::sqrt(static_cast<float>(t))));
+    const std::vector<float> got = attention_weights(q.data(), k.data(), t);
+    expect_close(got.data(), want.data().data(), got.size());
+  }
+}
+
+TEST(KernAttention, MatchesAutogradMhaAndIsLaneCountInvariant) {
+  util::Pcg32 rng(14);
+  for (const int hd : {8, 12, 16}) {
+    nn::MultiHeadAttention mha(2 * hd, 2, rng);
+    for (const int t : {1, 3, 12, 16, 17, 33}) {
+      Tensor x = Tensor::randn({3, t, 2 * hd}, rng);
+      const Tensor want = mha.forward(x);
+      kern::Workspace ws;
+      std::vector<float> one(x.numel());
+      std::vector<float> four(x.numel());
+      {
+        ThreadGuard tg(1);
+        mha.infer(x.data().data(), one.data(), 3, t, ws);
+      }
+      {
+        ThreadGuard tg(4);
+        ws.reset();
+        mha.infer(x.data().data(), four.data(), 3, t, ws);
+      }
+      expect_close(one.data(), want.data().data(), one.size());
+      ASSERT_EQ(0, std::memcmp(one.data(), four.data(), one.size() * 4))
+          << "hd=" << hd << " t=" << t;
+    }
+  }
+}
+
+// ---------------------------------------------------------------- exp/GELU
+
+// Distance in representable floats; +0 and -0 coincide.
+std::int64_t ulp_distance(float a, float b) {
+  const auto ordered = [](float f) -> std::int64_t {
+    const std::int32_t i = std::bit_cast<std::int32_t>(f);
+    return i < 0 ? static_cast<std::int64_t>(INT32_MIN) - i : i;
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+// Clamp edges of fast_exp (88, -87) and of GELU's e^{2u} (|x| near 44 puts
+// 2u past them), signed zeros, denormals, huge magnitudes, plus a dense
+// sweep over the range where GELU's tanh saturates.
+std::vector<float> exp_gelu_sweep() {
+  std::vector<float> xs = {0.0F,    -0.0F,   1e-45F,  -1e-45F, 1e-40F,
+                           -1e-40F, 1e-30F,  44.0F,   -44.0F,  88.0F,
+                           -87.0F,  88.5F,   -87.5F,  1e30F,   -1e30F,
+                           87.9F,   -86.9F,  20.0F,   -20.0F,  1e-7F};
+  for (float x = -12.0F; x <= 12.0F; x += 0.0137F) xs.push_back(x);
+  return xs;
+}
+
+TEST(KernEpilogue, GeluWithinTwoUlpOfScalarReference) {
+  // k = 1 with A = 1: each output is exactly the epilogue applied to the
+  // B entry, through whichever body (AVX2 or portable) the CPU dispatches.
+  const std::vector<float> xs = exp_gelu_sweep();
+  const int n = static_cast<int>(xs.size());
+  const float ones[5] = {1.0F, 1.0F, 1.0F, 1.0F, 1.0F};
+  std::vector<float> got(5 * xs.size());
+  kern::GemmOpts opts;
+  opts.gelu = true;
+  kern::gemm(ones, 1, xs.data(), n, got.data(), n, 5, 1, n, opts);
+  for (int r = 0; r < 5; ++r) {
+    for (int j = 0; j < n; ++j) {
+      ASSERT_LE(ulp_distance(got[r * n + j], kern::gelu_scalar(xs[j])), 2)
+          << "x=" << xs[j];
+    }
+  }
+}
+
+TEST(KernEpilogue, SoftmaxExpWithinTwoUlpOfScalarReference) {
+  // One query against keys whose scores are exactly the sweep values
+  // (t = 16: 1/sqrt(16) scales by 0.25 exactly, undone by k = 4x) with a
+  // 0 score fixing the row max at 0, so each weight is
+  // fast_exp(x) / sum(fast_exp) over the row.
+  const std::vector<float> sweep = exp_gelu_sweep();
+  const int t = 16;
+  for (std::size_t first = 0; first < sweep.size(); first += t - 1) {
+    std::vector<float> xs(sweep.begin() + first,
+                          sweep.begin() + std::min(sweep.size(), first + t - 1));
+    for (float& x : xs) x = std::min(-std::fabs(x), 0.0F);
+    xs.resize(t - 1, -3.0F);
+    xs.push_back(0.0F);
+    std::vector<float> q(t * t, 0.0F), k(t * t, 0.0F);
+    for (int j = 0; j < t; ++j) {
+      q[j * t] = 1.0F;
+      k[j * t] = 4.0F * xs[j];
+    }
+    const std::vector<float> w = attention_weights(q, k, t);
+    std::vector<float> e(t);
+    float denom = 0.0F;
+    for (int j = 0; j < t; ++j) denom += e[j] = kern::detail::fast_exp(xs[j]);
+    for (int j = 0; j < t; ++j) {
+      ASSERT_LE(ulp_distance(w[j], e[j] * (1.0F / denom)), 2) << "x=" << xs[j];
+    }
+  }
+}
+
+#ifdef EASZ_KERN_AVX2
+__attribute__((target("avx2"))) void exp_gelu_v8(const float* x, float* e,
+                                                 float* g) {
+  const __m256 v = _mm256_loadu_ps(x);
+  _mm256_storeu_ps(e, kern::detail::fast_exp_v8(v));
+  _mm256_storeu_ps(g, kern::detail::gelu_v8(v));
+}
+
+TEST(KernEpilogue, EightLaneTwinsWithinTwoUlpOfScalar) {
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "no AVX2";
+  std::vector<float> xs = exp_gelu_sweep();
+  xs.resize((xs.size() + 7) / 8 * 8, 1.0F);
+  for (std::size_t i = 0; i < xs.size(); i += 8) {
+    float e[8], g[8];
+    exp_gelu_v8(xs.data() + i, e, g);
+    for (int c = 0; c < 8; ++c) {
+      const float x = xs[i + c];
+      ASSERT_LE(ulp_distance(e[c], kern::detail::fast_exp(x)), 2) << x;
+      ASSERT_LE(ulp_distance(g[c], kern::detail::gelu_approx(x)), 2) << x;
+    }
+  }
+}
+#endif
 
 // ---------------------------------------------------------------- pool
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "codec/codec.hpp"
@@ -20,6 +21,7 @@
 #include "image/io_ppm.hpp"
 #include "nn/serialize.hpp"
 #include "util/flags.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -43,10 +45,23 @@ int cmd_compress(int argc, char** argv) {
   const std::string in_path = argv[0];
   const std::string out_path = argv[1];
   const std::string codec_name = flag_value(argc, argv, "--codec", "jpeg");
-  const int quality = std::atoi(flag_value(argc, argv, "--quality", "70"));
-  const int erase = std::atoi(flag_value(argc, argv, "--erase", "2"));
-  const int patch = std::atoi(flag_value(argc, argv, "--patch", "16"));
-  const int sub = std::atoi(flag_value(argc, argv, "--sub", "2"));
+  // Strict numeric flags (util/parse.hpp): junk, trailing characters and
+  // out-of-range values are usage errors naming the flag, never a silent 0.
+  int quality = 0, erase = 0, patch = 0, sub = 0;
+  try {
+    const auto int_flag = [&](const char* name, const char* fallback, int min,
+                              int max) {
+      return util::parse_int32(flag_value(argc, argv, name, fallback), name,
+                               min, max);
+    };
+    quality = int_flag("--quality", "70", 1, 100);
+    erase = int_flag("--erase", "2", 0, 1 << 15);
+    patch = int_flag("--patch", "16", 1, 1 << 15);
+    sub = int_flag("--sub", "2", 1, 1 << 15);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "easz: %s\n", e.what());
+    return 2;
+  }
 
   const image::Image img = image::read_pnm(in_path);
   auto codec = codec::make_classical_codec(codec_name, quality);

@@ -5,17 +5,24 @@
 //
 // Usage: easz_pretrain [steps] [out_dir]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "core/recon_model.hpp"
 #include "core/trainer.hpp"
 #include "data/synth.hpp"
 #include "nn/serialize.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace easz;
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 2500;
+  int steps = 2500;
+  try {
+    if (argc > 1) steps = util::parse_int32(argv[1], "steps", 0, 1 << 30);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "easz_pretrain: %s\n", e.what());
+    return 2;
+  }
   const std::string out_dir = argc > 2 ? argv[2] : "assets";
 
   core::ReconModelConfig cfg;
