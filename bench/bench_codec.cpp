@@ -1,7 +1,7 @@
-// Classical codec substrate bench (ISSUE 3 acceptance bench): rANS MB/s
-// (scalar v1 vs interleaved v2), DCT blocks/s (unrolled/GEMM-routed vs the
-// seed's naive triple loop), and whole-codec encode/decode MP/s at 1 and 4
-// kernel threads with byte-identical output asserted across pool widths.
+// Classical codec substrate bench: rANS MB/s (scalar v1 vs interleaved v2),
+// DCT blocks/s (unrolled/GEMM-routed vs the seed's naive triple loop), and
+// whole-codec encode/decode MP/s. The codecs run one serial path, so codec
+// figures are single-threaded.
 //
 // Usage: bench_codec [out.json] [--smoke]
 // Emits a human table on stdout and a JSON report to out.json
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/bpg_like.hpp"
@@ -21,7 +22,6 @@
 #include "entropy/rans.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/registry.hpp"
-#include "tensor/kernels.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -126,8 +126,6 @@ std::vector<int> coeff_stream(std::size_t count) {
 struct CodecFigures {
   double encode_mpps_1t = 0.0;
   double decode_mpps_1t = 0.0;
-  double encode_mpps_4t = 0.0;
-  double decode_mpps_4t = 0.0;
   double bpp = 0.0;
 };
 
@@ -135,25 +133,11 @@ CodecFigures run_codec(codec::ImageCodec& c, const image::Image& img,
                        int reps) {
   CodecFigures f;
   const double mp = static_cast<double>(img.pixel_count()) / 1e6;
-  const auto measure = [&](int threads, double* enc_out, double* dec_out) {
-    tensor::kern::set_threads(threads);
-    codec::Compressed comp = c.encode(img);  // warm
-    image::Image dec = c.decode(comp);
-    *enc_out = mp / time_best_s([&] { comp = c.encode(img); }, reps);
-    *dec_out = mp / time_best_s([&] { dec = c.decode(comp); }, reps);
-    f.bpp = comp.bpp();
-    return dec;
-  };
-  const image::Image d1 = measure(1, &f.encode_mpps_1t, &f.decode_mpps_1t);
-  const image::Image d4 = measure(4, &f.encode_mpps_4t, &f.decode_mpps_4t);
-  // Block-parallel output must be byte-identical across pool widths.
-  if (d1.data().size() != d4.data().size() ||
-      std::memcmp(d1.data().data(), d4.data().data(),
-                  d1.data().size() * sizeof(float)) != 0) {
-    std::fprintf(stderr, "FATAL: %s decode differs across thread counts\n",
-                 c.name().c_str());
-    std::exit(2);
-  }
+  codec::Compressed comp = c.encode(img);  // warm
+  image::Image dec = c.decode(comp);
+  f.encode_mpps_1t = mp / time_best_s([&] { comp = c.encode(img); }, reps);
+  f.decode_mpps_1t = mp / time_best_s([&] { dec = c.decode(comp); }, reps);
+  f.bpp = comp.bpp();
   return f;
 }
 
@@ -199,12 +183,6 @@ int main(int argc, char** argv) {
                                                 sym_count, table);
       },
       rans_reps);
-  const double t_v2_scalar = time_best_s(
-      [&] {
-        sink = entropy::detail::rans_decode_interleaved_scalar(
-            enc_v2.data(), enc_v2.size(), sym_count, table);
-      },
-      rans_reps);
   const double t_enc_v2 = time_best_s(
       [&] {
         auto e = entropy::rans_encode_interleaved(symbols, table);
@@ -224,12 +202,8 @@ int main(int argc, char** argv) {
   std::printf("  interleaved v2 decode     %8.1f Msym/s  %7.1f MB/s  "
               "(%.2fx scalar)\n",
               msym / t_v2, rans_decode_mbps_v2, rans_speedup);
-  std::printf("  interleaved scalar kernel %8.1f Msym/s (forced, no AVX2)\n",
-              msym / t_v2_scalar);
-  std::printf("  interleaved v2 encode     %8.1f Msym/s\n", msym / t_enc_v2);
-  std::printf("  avx2 kernel available: %s\n\n",
-              entropy::detail::rans_interleaved_avx2_available() ? "yes"
-                                                                 : "no");
+  std::printf("  interleaved v2 encode     %8.1f Msym/s\n\n",
+              msym / t_enc_v2);
 
   // ---- DCT ----------------------------------------------------------------
   const int dct_iters = smoke ? 20000 : 100000;
@@ -281,16 +255,11 @@ int main(int argc, char** argv) {
   codec::BpgLikeCodec bpg(50);
   const CodecFigures fj = run_codec(jpeg, img, codec_reps);
   const CodecFigures fb = run_codec(bpg, img, codec_reps);
-  tensor::kern::set_threads(1);
   std::printf("codecs on %dx%d synth photo (MP/s):\n", dim, dim);
-  std::printf("  %-5s %5s  enc 1t %6.2f  dec 1t %6.2f  enc 4t %6.2f  "
-              "dec 4t %6.2f  (%.2f bpp)\n",
-              "jpeg", "", fj.encode_mpps_1t, fj.decode_mpps_1t,
-              fj.encode_mpps_4t, fj.decode_mpps_4t, fj.bpp);
-  std::printf("  %-5s %5s  enc 1t %6.2f  dec 1t %6.2f  enc 4t %6.2f  "
-              "dec 4t %6.2f  (%.2f bpp)\n",
-              "bpg", "", fb.encode_mpps_1t, fb.decode_mpps_1t,
-              fb.encode_mpps_4t, fb.decode_mpps_4t, fb.bpp);
+  for (const auto& [name, fig] : {std::pair{"jpeg", fj}, std::pair{"bpg", fb}}) {
+    std::printf("  %-5s enc 1t %6.2f  dec 1t %6.2f  (%.2f bpp)\n", name,
+                fig.encode_mpps_1t, fig.decode_mpps_1t, fig.bpp);
+  }
 
   // ---- JSON ---------------------------------------------------------------
   FILE* f = std::fopen(out_path.c_str(), "w");
@@ -302,15 +271,10 @@ int main(int argc, char** argv) {
                "{\"smoke\":%s,"
                "\"rans\":{\"symbols\":%zu,\"entropy_bits\":%.4f,"
                "\"scalar_decode_msyms\":%.3f,\"interleaved_decode_msyms\":%.3f,"
-               "\"interleaved_scalar_kernel_msyms\":%.3f,"
                "\"interleaved_encode_msyms\":%.3f,"
-               "\"decode_speedup_interleaved_vs_scalar\":%.4f,"
-               "\"avx2_available\":%s},",
+               "\"decode_speedup_interleaved_vs_scalar\":%.4f},",
                smoke ? "true" : "false", sym_count, table.entropy_bits(),
-               msym / t_v1, msym / t_v2, msym / t_v2_scalar, msym / t_enc_v2,
-               rans_speedup,
-               entropy::detail::rans_interleaved_avx2_available() ? "true"
-                                                                  : "false");
+               msym / t_v1, msym / t_v2, msym / t_enc_v2, rans_speedup);
   std::fprintf(f, "\"dct\":{");
   for (int si = 0; si < 3; ++si) {
     std::fprintf(f,
@@ -325,18 +289,15 @@ int main(int argc, char** argv) {
                               bool comma) {
     std::fprintf(f,
                  "\"%s\":{\"encode_mpps_1t\":%.4f,\"decode_mpps_1t\":%.4f,"
-                 "\"encode_mpps_4t\":%.4f,\"decode_mpps_4t\":%.4f,"
                  "\"bpp\":%.4f}%s",
-                 name, fig.encode_mpps_1t, fig.decode_mpps_1t,
-                 fig.encode_mpps_4t, fig.decode_mpps_4t, fig.bpp,
+                 name, fig.encode_mpps_1t, fig.decode_mpps_1t, fig.bpp,
                  comma ? "," : "");
   };
   dump_codec("jpeg", fj, true);
   dump_codec("bpg", fb, false);
 
-  // Hardware counters around a 1-thread bpg decode burst (the stage the
-  // block-parallel work targets); "unavailable" per counter when the kernel
-  // forbids perf_event_open. Always carries the llc_miss key (ROADMAP 2).
+  // Hardware counters around a bpg decode burst; "unavailable" per counter
+  // when the kernel forbids perf_event_open. Always carries the llc_miss key.
   obs::PerfReading perf;
   {
     codec::Compressed comp = bpg.encode(img);
@@ -344,11 +305,10 @@ int main(int argc, char** argv) {
     obs::PerfScope scope(counters, perf);
     for (int r = 0; r < codec_reps; ++r) (void)bpg.decode(comp);
   }
-  std::printf("hardware counters (1-thread bpg decode burst)\n  %s\n",
+  std::printf("hardware counters (bpg decode burst)\n  %s\n",
               perf.to_json().c_str());
 
-  // Registry totals accumulated during the runs above: wavefront/block task
-  // counts from the codecs plus the kern pool's steal counters.
+  // Registry totals accumulated during the runs above.
   const obs::Registry::Snapshot reg = obs::Registry::global().snapshot();
   std::fprintf(f, "},\"perf\":%s,\"obs_totals\":{", perf.to_json().c_str());
   for (std::size_t i = 0; i < reg.counters.size(); ++i) {

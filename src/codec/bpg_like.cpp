@@ -12,25 +12,9 @@
 #include "entropy/bitstream.hpp"
 #include "entropy/rans.hpp"
 #include "image/color.hpp"
-#include "obs/registry.hpp"
-#include "tensor/kernels.hpp"
 
 namespace easz::codec {
 namespace {
-
-// Wavefront-scheduler task counts (DESIGN.md §8.2): blocks processed and
-// anti-diagonal launches. blocks/wavefronts is the mean wavefront width —
-// how much parallelism the intra dependency structure actually exposed.
-struct BpgMetrics {
-  obs::Counter& blocks = obs::Registry::global().counter("codec.bpg.blocks");
-  obs::Counter& wavefronts =
-      obs::Registry::global().counter("codec.bpg.wavefronts");
-};
-
-BpgMetrics& bpg_metrics() {
-  static BpgMetrics m;
-  return m;
-}
 
 constexpr int kLumaBlock = 16;
 constexpr int kChromaBlock = 8;
@@ -189,49 +173,29 @@ struct PlaneCode {
   std::vector<std::int32_t> escapes;  // raw values for escape symbols
 };
 
-/// Runs fn(bx, by) over every block so that each block executes strictly
-/// after its N / W / NW neighbours — the only blocks intra prediction reads
-/// from. Raster order when serial; anti-diagonal wavefronts on the
-/// tensor::kern pool otherwise (every block on one anti-diagonal is
-/// independent, and diagonal d completes before d+1 starts). Output is
-/// identical either way: per-block work does not depend on scheduling.
-/// fn must not throw (parallel_for contract) — validate inputs first.
-template <typename Fn>
-void for_each_block_wavefront(int bx_count, int by_count, Fn&& fn) {
-  bpg_metrics().blocks.add(
-      static_cast<std::uint64_t>(bx_count) * static_cast<std::uint64_t>(by_count));
-  const bool parallel = tensor::kern::threads() > 1 &&
-                        bx_count > 1 && by_count > 1 &&
-                        bx_count * by_count >= 16;
-  if (!parallel) {
-    for (int by = 0; by < by_count; ++by) {
-      for (int bx = 0; bx < bx_count; ++bx) fn(bx, by);
+// Writes a reconstructed block (prediction + dequantised residual) into the
+// decoded plane, clipped at the right/bottom image border. Encoder and
+// decoder share it so their reconstructions stay bit-identical.
+void store_block(image::Image& decoded, const float* pred, const float* resid,
+                 int x0, int y0, int block) {
+  const int w = decoded.width();
+  const int ph = std::min(block, decoded.height() - y0);
+  const int pw = std::min(block, w - x0);
+  float* dp = decoded.plane(0);
+  for (int y = 0; y < ph; ++y) {
+    float* row = dp + static_cast<std::size_t>(y0 + y) * w + x0;
+    const float* pr = pred + y * block;
+    const float* rs = resid + y * block;
+    for (int x = 0; x < pw; ++x) {
+      row[x] = std::clamp(pr[x] + rs[x] * (1.0F / 255.0F), 0.0F, 1.0F);
     }
-    return;
-  }
-  bpg_metrics().wavefronts.add(
-      static_cast<std::uint64_t>(bx_count + by_count - 1));
-  for (int d = 0; d < bx_count + by_count - 1; ++d) {
-    const int by_lo = std::max(0, d - bx_count + 1);
-    const int by_hi = std::min(d, by_count - 1);
-    tensor::kern::parallel_for(by_hi - by_lo + 1, [&](int i) {
-      const int by = by_lo + i;
-      fn(d - by, by);
-    });
   }
 }
 
-// Per-block encoder output, concatenated in raster block order afterwards so
-// the symbol stream is byte-identical to a sequential encode.
-struct BlockCode {
-  std::vector<int> symbols;
-  std::vector<std::int32_t> escapes;
-  int mode = 0;
-};
-
 // Encodes one plane with intra prediction against its own decoded state,
-// mirroring what the decoder will do. Blocks run wavefront-parallel; the
-// symbol streams are stitched in block order afterwards.
+// mirroring what the decoder will do. Blocks run in raster order, so every
+// block's N / W / NW neighbours (the only blocks intra prediction reads) are
+// reconstructed before it, and symbols land in the stream in block order.
 PlaneCode code_plane(const image::Image& plane, int block, float step) {
   const int w = plane.width();
   const int h = plane.height();
@@ -241,19 +205,20 @@ PlaneCode code_plane(const image::Image& plane, int block, float step) {
   const std::vector<int> zig = zigzag_order(block);
 
   image::Image decoded(w, h, 1);
-  std::vector<BlockCode> blocks(static_cast<std::size_t>(bx_count) * by_count);
+  PlaneCode out;
+  out.modes.reserve(static_cast<std::size_t>(bx_count) * by_count);
+  float src[kMaxBlock * kMaxBlock];
+  float pred[kMaxBlock * kMaxBlock];
+  float resid[kMaxBlock * kMaxBlock];
+  std::array<int, kMaxBlock * kMaxBlock> levels;
 
-  for_each_block_wavefront(bx_count, by_count, [&](int bx, int by) {
-    const int x0 = bx * block;
-    const int y0 = by * block;
-    BlockCode& out = blocks[static_cast<std::size_t>(by) * bx_count + bx];
-    float src[kMaxBlock * kMaxBlock];
-    float pred[kMaxBlock * kMaxBlock];
-    float resid[kMaxBlock * kMaxBlock];
+  for (int by = 0; by < by_count; ++by) {
+    for (int bx = 0; bx < bx_count; ++bx) {
+      const int x0 = bx * block;
+      const int y0 = by * block;
 
-    // Source block once, border-replicated — the mode search below then
-    // runs over flat arrays instead of per-pixel clamped accessors.
-    {
+      // Source block once, border-replicated — the mode search below then
+      // runs over flat arrays instead of per-pixel clamped accessors.
       const float* sp = plane.plane(0);
       for (int y = 0; y < block; ++y) {
         const float* row =
@@ -262,140 +227,78 @@ PlaneCode code_plane(const image::Image& plane, int block, float step) {
           src[y * block + x] = row[std::min(x0 + x, w - 1)];
         }
       }
-    }
 
-    const RefSamples refs = gather_refs(decoded, x0, y0, block);
+      const RefSamples refs = gather_refs(decoded, x0, y0, block);
 
-    // Mode decision: minimum residual energy (cheap SAD-style search).
-    int best_mode = 0;
-    float best_cost = std::numeric_limits<float>::max();
-    for (int m = 0; m < static_cast<int>(IntraMode::kCount); ++m) {
-      predict(refs, static_cast<IntraMode>(m), block, pred);
-      float cost = 0.0F;
+      // Mode decision: minimum residual energy (cheap SAD-style search).
+      int best_mode = 0;
+      float best_cost = std::numeric_limits<float>::max();
+      for (int m = 0; m < static_cast<int>(IntraMode::kCount); ++m) {
+        predict(refs, static_cast<IntraMode>(m), block, pred);
+        float cost = 0.0F;
+        for (int i = 0; i < block * block; ++i) {
+          const float v = src[i] - pred[i];
+          cost += v * v;
+        }
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_mode = m;
+        }
+      }
+      out.modes.push_back(best_mode);
+      predict(refs, static_cast<IntraMode>(best_mode), block, pred);
+
       for (int i = 0; i < block * block; ++i) {
-        const float v = src[i] - pred[i];
-        cost += v * v;
+        resid[i] = (src[i] - pred[i]) * 255.0F;
       }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_mode = m;
-      }
-    }
-    out.mode = best_mode;
-    predict(refs, static_cast<IntraMode>(best_mode), block, pred);
+      dct.forward(resid);
 
-    for (int i = 0; i < block * block; ++i) {
-      resid[i] = (src[i] - pred[i]) * 255.0F;
-    }
-    dct.forward(resid);
+      // Quantise, emit symbols up to the last nonzero (EOB-terminated),
+      // dequantise into the reconstruction.
+      int last_nonzero = -1;
+      for (std::size_t zi = 0; zi < zig.size(); ++zi) {
+        const int idx = zig[zi];
+        // Dead-zone quantiser (intra rounding offset ~1/3, as in HEVC):
+        // coefficients below ~2/3 of a step collapse to zero, trading a
+        // tiny MSE increase for a large rate saving.
+        const float a = resid[idx] / step;
+        const int q = a >= 0.0F ? static_cast<int>(a + 0.3333F)
+                                : -static_cast<int>(-a + 0.3333F);
+        levels[zi] = q;
+        if (q != 0) last_nonzero = static_cast<int>(zi);
+        resid[idx] = static_cast<float>(q) * step;
+      }
+      int zero_run = 0;
+      for (int zi = 0; zi <= last_nonzero; ++zi) {
+        const int q = levels[zi];
+        if (q == 0) {
+          ++zero_run;
+          continue;
+        }
+        while (zero_run > 0) {
+          const int chunk = std::min(zero_run, kMaxZeroRun);
+          out.symbols.push_back(kZeroRunBase + chunk - 1);
+          zero_run -= chunk;
+        }
+        if (q >= -kLevelBias && q <= kLevelBias) {
+          out.symbols.push_back(q + kLevelBias);
+        } else {
+          out.symbols.push_back(kEscape);
+          out.escapes.push_back(q);
+        }
+      }
+      out.symbols.push_back(kEob);
 
-    // Quantise, emit symbols up to the last nonzero (EOB-terminated),
-    // dequantise into the reconstruction.
-    std::array<int, kMaxBlock * kMaxBlock> levels;
-    int last_nonzero = -1;
-    for (std::size_t zi = 0; zi < zig.size(); ++zi) {
-      const int idx = zig[zi];
-      // Dead-zone quantiser (intra rounding offset ~1/3, as in HEVC):
-      // coefficients below ~2/3 of a step collapse to zero, trading a tiny
-      // MSE increase for a large rate saving.
-      const float a = resid[idx] / step;
-      const int q = a >= 0.0F ? static_cast<int>(a + 0.3333F)
-                              : -static_cast<int>(-a + 0.3333F);
-      levels[zi] = q;
-      if (q != 0) last_nonzero = static_cast<int>(zi);
-      resid[idx] = static_cast<float>(q) * step;
+      dct.inverse(resid);
+      store_block(decoded, pred, resid, x0, y0, block);
     }
-    int zero_run = 0;
-    for (int zi = 0; zi <= last_nonzero; ++zi) {
-      const int q = levels[zi];
-      if (q == 0) {
-        ++zero_run;
-        continue;
-      }
-      while (zero_run > 0) {
-        const int chunk = std::min(zero_run, kMaxZeroRun);
-        out.symbols.push_back(kZeroRunBase + chunk - 1);
-        zero_run -= chunk;
-      }
-      if (q >= -kLevelBias && q <= kLevelBias) {
-        out.symbols.push_back(q + kLevelBias);
-      } else {
-        out.symbols.push_back(kEscape);
-        out.escapes.push_back(q);
-      }
-    }
-    out.symbols.push_back(kEob);
-
-    dct.inverse(resid);
-    const int ph = std::min(block, h - y0);
-    const int pw = std::min(block, w - x0);
-    float* dp = decoded.plane(0);
-    for (int y = 0; y < ph; ++y) {
-      float* row = dp + static_cast<std::size_t>(y0 + y) * w + x0;
-      const float* pr = pred + y * block;
-      const float* rs = resid + y * block;
-      for (int x = 0; x < pw; ++x) {
-        row[x] = std::clamp(pr[x] + rs[x] * (1.0F / 255.0F), 0.0F, 1.0F);
-      }
-    }
-  });
-
-  PlaneCode out;
-  out.modes.reserve(blocks.size());
-  for (const BlockCode& b : blocks) {
-    out.modes.push_back(b.mode);
-    out.symbols.insert(out.symbols.end(), b.symbols.begin(), b.symbols.end());
-    out.escapes.insert(out.escapes.end(), b.escapes.begin(), b.escapes.end());
   }
   return out;
 }
 
-// Validated per-block views into a plane's symbol/escape streams, produced
-// by one serial scan so the wavefront reconstruction below is throw-free.
-struct BlockSpan {
-  std::uint32_t sym_begin = 0;
-  std::uint32_t sym_end = 0;    // one past this block's EOB
-  std::uint32_t esc_begin = 0;
-};
-
-std::vector<BlockSpan> scan_block_spans(const int* symbols,
-                                        std::size_t symbol_count,
-                                        std::size_t escape_count,
-                                        std::size_t block_count,
-                                        std::size_t coeffs_per_block) {
-  std::vector<BlockSpan> spans(block_count);
-  std::size_t pos = 0;
-  std::size_t esc = 0;
-  for (std::size_t b = 0; b < block_count; ++b) {
-    spans[b].sym_begin = static_cast<std::uint32_t>(pos);
-    spans[b].esc_begin = static_cast<std::uint32_t>(esc);
-    std::size_t zi = 0;
-    for (;;) {
-      if (pos >= symbol_count) {
-        throw std::runtime_error("bpg: symbol stream underrun");
-      }
-      const int sym = symbols[pos++];
-      if (sym == kEob) break;
-      if (sym >= kZeroRunBase && sym < kZeroRunBase + kMaxZeroRun) {
-        zi += static_cast<std::size_t>(sym - kZeroRunBase + 1);
-        continue;
-      }
-      if (zi >= coeffs_per_block) {
-        throw std::runtime_error("bpg: coeff overrun");
-      }
-      ++zi;
-      if (sym == kEscape) {
-        if (esc >= escape_count) {
-          throw std::runtime_error("bpg: escape stream underrun");
-        }
-        ++esc;
-      }
-    }
-    spans[b].sym_end = static_cast<std::uint32_t>(pos);
-  }
-  return spans;
-}
-
+// Decodes one plane in raster block order, validating each block's tokens
+// as it reads them: a stream that runs out of symbols, places a level past
+// the block's last coefficient or runs out of escapes throws.
 image::Image decode_plane(const int* symbols, std::size_t symbol_count,
                           const std::vector<int>& modes,
                           const std::vector<std::int32_t>& escapes, int w,
@@ -415,51 +318,46 @@ image::Image decode_plane(const int* symbols, std::size_t symbol_count,
   const Dct2d dct(block);
   const std::vector<int> zig = zigzag_order(block);
 
-  // One serial scan splits the plane's streams into per-block spans and
-  // validates every token, so the wavefront reconstruction cannot throw.
-  const std::vector<BlockSpan> spans =
-      scan_block_spans(symbols, symbol_count, escapes.size(), block_count,
-                       zig.size());
-
   image::Image decoded(w, h, 1);
-  for_each_block_wavefront(bx_count, by_count, [&](int bx, int by) {
-    const int x0 = bx * block;
-    const int y0 = by * block;
-    const std::size_t bi = static_cast<std::size_t>(by) * bx_count + bx;
-    const BlockSpan& span = spans[bi];
+  float pred[kMaxBlock * kMaxBlock];
+  float resid[kMaxBlock * kMaxBlock];
+  std::size_t pos = 0;
+  std::size_t esc = 0;
+  for (int by = 0; by < by_count; ++by) {
+    for (int bx = 0; bx < bx_count; ++bx) {
+      const int x0 = bx * block;
+      const int y0 = by * block;
+      const std::size_t bi = static_cast<std::size_t>(by) * bx_count + bx;
 
-    float pred[kMaxBlock * kMaxBlock];
-    float resid[kMaxBlock * kMaxBlock];
-    const RefSamples refs = gather_refs(decoded, x0, y0, block);
-    predict(refs, static_cast<IntraMode>(modes[bi]), block, pred);
+      const RefSamples refs = gather_refs(decoded, x0, y0, block);
+      predict(refs, static_cast<IntraMode>(modes[bi]), block, pred);
 
-    std::fill_n(resid, block * block, 0.0F);
-    std::size_t esc = span.esc_begin;
-    std::size_t zi = 0;
-    for (std::uint32_t p = span.sym_begin;;) {
-      const int sym = symbols[p++];
-      if (sym == kEob) break;
-      if (sym >= kZeroRunBase && sym < kZeroRunBase + kMaxZeroRun) {
-        zi += static_cast<std::size_t>(sym - kZeroRunBase + 1);
-        continue;
+      std::fill_n(resid, block * block, 0.0F);
+      std::size_t zi = 0;
+      for (;;) {
+        if (pos >= symbol_count) {
+          throw std::runtime_error("bpg: symbol stream underrun");
+        }
+        const int sym = symbols[pos++];
+        if (sym == kEob) break;
+        if (sym >= kZeroRunBase && sym < kZeroRunBase + kMaxZeroRun) {
+          zi += static_cast<std::size_t>(sym - kZeroRunBase + 1);
+          continue;
+        }
+        if (zi >= zig.size()) throw std::runtime_error("bpg: coeff overrun");
+        int q = sym - kLevelBias;
+        if (sym == kEscape) {
+          if (esc >= escapes.size()) {
+            throw std::runtime_error("bpg: escape stream underrun");
+          }
+          q = escapes[esc++];
+        }
+        resid[zig[zi++]] = static_cast<float>(q) * step;
       }
-      const int q = sym == kEscape ? escapes[esc++] : sym - kLevelBias;
-      resid[zig[zi++]] = static_cast<float>(q) * step;
+      dct.inverse(resid);
+      store_block(decoded, pred, resid, x0, y0, block);
     }
-    dct.inverse(resid);
-
-    const int ph = std::min(block, h - y0);
-    const int pw = std::min(block, w - x0);
-    float* dp = decoded.plane(0);
-    for (int y = 0; y < ph; ++y) {
-      float* row = dp + static_cast<std::size_t>(y0 + y) * w + x0;
-      const float* pr = pred + y * block;
-      const float* rs = resid + y * block;
-      for (int x = 0; x < pw; ++x) {
-        row[x] = std::clamp(pr[x] + rs[x] * (1.0F / 255.0F), 0.0F, 1.0F);
-      }
-    }
-  });
+  }
   return decoded;
 }
 

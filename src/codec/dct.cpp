@@ -158,8 +158,7 @@ void dct_inverse_hot(float* block, const float* basis, const float* basis_t) {
 }
 
 // Generic sizes ride tensor::kern::gemm (parallel=false: a DCT block is far
-// below the parallel threshold and the codecs call this from inside
-// parallel_for tasks).
+// below the parallel threshold).
 tensor::kern::GemmOpts serial_gemm() {
   tensor::kern::GemmOpts o;
   o.parallel = false;

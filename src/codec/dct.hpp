@@ -6,8 +6,7 @@
 // dedicated fully-unrolled kernels for the hot 8x8 and 16x16 shapes
 // (compiled twice, AVX2+FMA and baseline, dispatched at runtime like
 // tensor::kern), and tensor::kern::gemm for every other size. Instances
-// are immutable after construction and safe to share across threads (the
-// block-parallel codec paths rely on this).
+// are immutable after construction and safe to share across threads.
 #pragma once
 
 #include <vector>

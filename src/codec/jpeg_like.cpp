@@ -4,34 +4,18 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "codec/dct.hpp"
 #include "entropy/bitstream.hpp"
 #include "entropy/huffman.hpp"
 #include "image/color.hpp"
-#include "obs/registry.hpp"
-#include "tensor/kernels.hpp"
 
 namespace easz::codec {
 namespace {
 
 constexpr int kBlock = 8;
 constexpr int kBlockArea = kBlock * kBlock;
-
-// Per-stage task counts for the block-parallel passes (DESIGN.md §8.2):
-// blocks pushed through the forward DCT+quantise pass and the inverse
-// dequantise+IDCT pass, regardless of whether they ran pooled or inline.
-struct JpegMetrics {
-  obs::Counter& encode_blocks =
-      obs::Registry::global().counter("codec.jpeg.encode_blocks");
-  obs::Counter& decode_blocks =
-      obs::Registry::global().counter("codec.jpeg.decode_blocks");
-};
-
-JpegMetrics& jpeg_metrics() {
-  static JpegMetrics m;
-  return m;
-}
 
 // ITU-T T.81 Annex K reference quantisation tables.
 constexpr std::array<int, kBlockArea> kLumaQuant = {
@@ -94,88 +78,67 @@ struct PlaneSymbols {
   std::vector<int> dc_amplitudes;     // raw values (sign-coded)
   std::vector<int> ac_symbols;        // run*12 + size
   std::vector<int> ac_amplitudes;
-  int blocks_x = 0;
-  int blocks_y = 0;
 };
 
-// Quantises one plane to (run,size)/amplitude symbols. The per-block work
-// (level shift, forward DCT, quantise) has no cross-block dependency, so it
-// runs block-parallel over the tensor::kern pool into a per-block
-// coefficient buffer; the serial pass that follows (DC DPCM + run/size
-// symbolisation) is a cheap walk over the quantised levels, and emitting it
-// in raster block order keeps the symbol streams byte-identical to a
-// sequential encode at any thread count.
+// Quantises one plane to (run,size)/amplitude symbols, one block at a time
+// in raster order: level shift, forward DCT, quantise, then DC DPCM and AC
+// run/size symbolisation of that block's levels.
 PlaneSymbols encode_plane(const image::Image& plane,
                           const std::array<int, kBlockArea>& quant,
                           const Dct2d& dct) {
   PlaneSymbols out;
-  out.blocks_x = (plane.width() + kBlock - 1) / kBlock;
-  out.blocks_y = (plane.height() + kBlock - 1) / kBlock;
-  const std::size_t block_count =
-      static_cast<std::size_t>(out.blocks_x) * out.blocks_y;
-
-  std::vector<std::array<int, kBlockArea>> coeffs(block_count);
   const int w = plane.width();
   const int h = plane.height();
+  const int blocks_x = (w + kBlock - 1) / kBlock;
+  const int blocks_y = (h + kBlock - 1) / kBlock;
   const float* sp = plane.plane(0);
-  const auto quantise_block = [&](int bi) {
-    const int by = bi / out.blocks_x;
-    const int bx = bi % out.blocks_x;
-    std::array<float, kBlockArea> block;
-    for (int y = 0; y < kBlock; ++y) {
-      const float* row =
-          sp + static_cast<std::size_t>(std::min(by * kBlock + y, h - 1)) * w;
-      for (int x = 0; x < kBlock; ++x) {
-        // Level shift to [-128, 127] like JPEG.
-        block[y * kBlock + x] =
-            row[std::min(bx * kBlock + x, w - 1)] * 255.0F - 128.0F;
-      }
-    }
-    dct.forward(block.data());
-    // The orthonormal DCT already yields JPEG's coefficient scale
-    // (DC in [-1024, 1016] for level-shifted 8-bit input).
-    auto& q = coeffs[static_cast<std::size_t>(bi)];
-    for (int i = 0; i < kBlockArea; ++i) {
-      const float coeff = block[i] / static_cast<float>(quant[i]);
-      q[i] = static_cast<int>(std::lround(coeff));
-    }
-  };
-  jpeg_metrics().encode_blocks.add(block_count);
-  if (tensor::kern::threads() > 1 && block_count >= 32) {
-    tensor::kern::parallel_for(static_cast<int>(block_count), quantise_block);
-  } else {
-    for (std::size_t bi = 0; bi < block_count; ++bi) {
-      quantise_block(static_cast<int>(bi));
-    }
-  }
-
+  std::array<float, kBlockArea> block;
+  std::array<int, kBlockArea> q;
   int prev_dc = 0;
-  for (std::size_t bi = 0; bi < block_count; ++bi) {
-    const auto& q = coeffs[bi];
-    const int dc_diff = q[0] - prev_dc;
-    prev_dc = q[0];
-    out.dc_symbols.push_back(bit_size(dc_diff));
-    out.dc_amplitudes.push_back(dc_diff);
+  for (int by = 0; by < blocks_y; ++by) {
+    for (int bx = 0; bx < blocks_x; ++bx) {
+      for (int y = 0; y < kBlock; ++y) {
+        const float* row =
+            sp + static_cast<std::size_t>(std::min(by * kBlock + y, h - 1)) * w;
+        for (int x = 0; x < kBlock; ++x) {
+          // Level shift to [-128, 127] like JPEG.
+          block[y * kBlock + x] =
+              row[std::min(bx * kBlock + x, w - 1)] * 255.0F - 128.0F;
+        }
+      }
+      dct.forward(block.data());
+      // The orthonormal DCT already yields JPEG's coefficient scale
+      // (DC in [-1024, 1016] for level-shifted 8-bit input).
+      for (int i = 0; i < kBlockArea; ++i) {
+        const float coeff = block[i] / static_cast<float>(quant[i]);
+        q[i] = static_cast<int>(std::lround(coeff));
+      }
 
-    int run = 0;
-    for (int i = 1; i < kBlockArea; ++i) {
-      const int v = q[kZigzag[i]];
-      if (v == 0) {
-        ++run;
-        continue;
+      const int dc_diff = q[0] - prev_dc;
+      prev_dc = q[0];
+      out.dc_symbols.push_back(bit_size(dc_diff));
+      out.dc_amplitudes.push_back(dc_diff);
+
+      int run = 0;
+      for (int i = 1; i < kBlockArea; ++i) {
+        const int v = q[kZigzag[i]];
+        if (v == 0) {
+          ++run;
+          continue;
+        }
+        while (run > 15) {
+          out.ac_symbols.push_back(15 * 12 + 0);  // ZRL
+          out.ac_amplitudes.push_back(0);
+          run -= 16;
+        }
+        const int size = bit_size(v);
+        out.ac_symbols.push_back(run * 12 + size);
+        out.ac_amplitudes.push_back(v);
+        run = 0;
       }
-      while (run > 15) {
-        out.ac_symbols.push_back(15 * 12 + 0);  // ZRL
-        out.ac_amplitudes.push_back(0);
-        run -= 16;
-      }
-      const int size = bit_size(v);
-      out.ac_symbols.push_back(run * 12 + size);
-      out.ac_amplitudes.push_back(v);
-      run = 0;
+      out.ac_symbols.push_back(0);  // EOB = (0,0)
+      out.ac_amplitudes.push_back(0);
     }
-    out.ac_symbols.push_back(0);  // EOB = (0,0)
-    out.ac_amplitudes.push_back(0);
   }
   return out;
 }
@@ -194,11 +157,9 @@ int read_amplitude(entropy::BitReader& br, int size) {
   return coded;
 }
 
-// Decodes one plane: the Huffman bitstream is inherently serial, so a first
-// pass entropy-decodes every block's coefficients (resolving the DC DPCM
-// chain) into a per-block buffer, and a second, block-parallel pass does the
-// arithmetic-heavy dequantise + inverse DCT + pixel store. Output is
-// identical at any thread count (blocks write disjoint pixels).
+// Decodes one plane block by block in raster order: entropy-decode the
+// block's coefficients (the Huffman bitstream and the DC DPCM chain are
+// serial anyway), then dequantise, inverse DCT and store its pixels.
 image::Image decode_plane(entropy::BitReader& br, int width, int height,
                           const std::array<int, kBlockArea>& quant,
                           const Dct2d& dct,
@@ -207,66 +168,51 @@ image::Image decode_plane(entropy::BitReader& br, int width, int height,
   image::Image plane(width, height, 1);
   const int blocks_x = (width + kBlock - 1) / kBlock;
   const int blocks_y = (height + kBlock - 1) / kBlock;
-  const std::size_t block_count =
-      static_cast<std::size_t>(blocks_x) * blocks_y;
-
-  std::vector<std::array<int, kBlockArea>> coeffs(block_count);
-  int prev_dc = 0;
-  for (std::size_t bi = 0; bi < block_count; ++bi) {
-    auto& q = coeffs[bi];
-    q.fill(0);
-    const int dc_size = dc_code.decode_symbol(br);
-    const int dc_diff = read_amplitude(br, dc_size);
-    prev_dc += dc_diff;
-    q[0] = prev_dc;
-
-    // The encoder terminates every block with an EOB, even full ones, so
-    // read until EOB unconditionally to stay in sync.
-    int i = 1;
-    for (;;) {
-      const int sym = ac_code.decode_symbol(br);
-      const int run = sym / 12;
-      const int size = sym % 12;
-      if (run == 0 && size == 0) break;  // EOB
-      if (run == 15 && size == 0) {      // ZRL
-        i += 16;
-        continue;
-      }
-      i += run;
-      if (i >= kBlockArea) throw std::runtime_error("jpeg: AC overrun");
-      q[kZigzag[i]] = read_amplitude(br, size);
-      ++i;
-    }
-  }
 
   float* pp = plane.plane(0);
-  const auto reconstruct_block = [&](int bi) {
-    const int by = bi / blocks_x;
-    const int bx = bi % blocks_x;
-    const auto& q = coeffs[static_cast<std::size_t>(bi)];
-    std::array<float, kBlockArea> block;
-    for (int k = 0; k < kBlockArea; ++k) {
-      block[k] = static_cast<float>(q[k]) * static_cast<float>(quant[k]);
-    }
-    dct.inverse(block.data());
-    const int ph = std::min(kBlock, height - by * kBlock);
-    const int pw = std::min(kBlock, width - bx * kBlock);
-    for (int y = 0; y < ph; ++y) {
-      float* row = pp + static_cast<std::size_t>(by * kBlock + y) * width +
-                   bx * kBlock;
-      const float* bl = block.data() + y * kBlock;
-      for (int x = 0; x < pw; ++x) {
-        row[x] = std::clamp((bl[x] + 128.0F) / 255.0F, 0.0F, 1.0F);
+  std::array<int, kBlockArea> q;
+  std::array<float, kBlockArea> block;
+  int prev_dc = 0;
+  for (int by = 0; by < blocks_y; ++by) {
+    for (int bx = 0; bx < blocks_x; ++bx) {
+      q.fill(0);
+      const int dc_size = dc_code.decode_symbol(br);
+      const int dc_diff = read_amplitude(br, dc_size);
+      prev_dc += dc_diff;
+      q[0] = prev_dc;
+
+      // The encoder terminates every block with an EOB, even full ones, so
+      // read until EOB unconditionally to stay in sync.
+      int i = 1;
+      for (;;) {
+        const int sym = ac_code.decode_symbol(br);
+        const int run = sym / 12;
+        const int size = sym % 12;
+        if (run == 0 && size == 0) break;  // EOB
+        if (run == 15 && size == 0) {      // ZRL
+          i += 16;
+          continue;
+        }
+        i += run;
+        if (i >= kBlockArea) throw std::runtime_error("jpeg: AC overrun");
+        q[kZigzag[i]] = read_amplitude(br, size);
+        ++i;
       }
-    }
-  };
-  jpeg_metrics().decode_blocks.add(block_count);
-  if (tensor::kern::threads() > 1 && block_count >= 32) {
-    tensor::kern::parallel_for(static_cast<int>(block_count),
-                               reconstruct_block);
-  } else {
-    for (std::size_t bi = 0; bi < block_count; ++bi) {
-      reconstruct_block(static_cast<int>(bi));
+
+      for (int k = 0; k < kBlockArea; ++k) {
+        block[k] = static_cast<float>(q[k]) * static_cast<float>(quant[k]);
+      }
+      dct.inverse(block.data());
+      const int ph = std::min(kBlock, height - by * kBlock);
+      const int pw = std::min(kBlock, width - bx * kBlock);
+      for (int y = 0; y < ph; ++y) {
+        float* row = pp + static_cast<std::size_t>(by * kBlock + y) * width +
+                     bx * kBlock;
+        const float* bl = block.data() + y * kBlock;
+        for (int x = 0; x < pw; ++x) {
+          row[x] = std::clamp((bl[x] + 128.0F) / 255.0F, 0.0F, 1.0F);
+        }
+      }
     }
   }
   return plane;

@@ -114,16 +114,14 @@ void FrequencyTable::ensure_lookup() const {
     sym_fc_[s] = (freq_[s] << 16U) | cum_[s];
   }
   if (n <= 256) {
-    // +4 bytes of padding so 32-bit gathers addressed at any slot never read
-    // past the allocation.
-    slot_sym8_.assign(kProbScale + 4, 0);
+    slot_sym8_.assign(kProbScale, 0);
     for (int s = 0; s < n; ++s) {
       for (std::uint32_t k = cum_[s]; k < cum_[s + 1]; ++k) {
         slot_sym8_[k] = static_cast<std::uint8_t>(s);
       }
     }
   } else {
-    slot_sym16_.assign(kProbScale + 2, 0);
+    slot_sym16_.assign(kProbScale, 0);
     for (int s = 0; s < n; ++s) {
       for (std::uint32_t k = cum_[s]; k < cum_[s + 1]; ++k) {
         slot_sym16_[k] = static_cast<std::uint16_t>(s);

@@ -16,10 +16,8 @@
 //    symbol i owned by lane i % 4. Each lane is its own byte stream; the
 //    payload header carries explicit lane offsets so the decoder can point
 //    one cursor at each lane and run all four dependency chains in
-//    parallel — scalar interleaved on any CPU, AVX2 gather-based where
-//    available (runtime-dispatched like tensor::kern). Both paths produce
-//    identical symbols; the encoder is deterministic, so v2 streams are
-//    byte-stable across machines.
+//    parallel on one portable kernel. The encoder is deterministic, so v2
+//    streams are byte-stable across machines.
 //
 // Decode-side lookup is a cache-compact packed layout built lazily on first
 // decode (encode-only tables never pay for it): a slot->symbol table with
@@ -79,7 +77,6 @@ class FrequencyTable {
 
   // Hot decode accessors (valid after ensure_lookup()).
   /// One byte per slot; null when the alphabet exceeds 256 (use slot_sym16).
-  /// Padded by 4 bytes so 32-bit gathers at any slot stay in bounds.
   [[nodiscard]] const std::uint8_t* slot_sym8() const {
     return slot_sym8_.empty() ? nullptr : slot_sym8_.data();
   }
@@ -134,10 +131,9 @@ inline constexpr int kRansLanes = 4;
 std::vector<std::uint8_t> rans_encode_interleaved(
     const std::vector<int>& symbols, const FrequencyTable& table);
 
-/// Decodes `count` symbols from an interleaved v2 payload. Dispatches to an
-/// AVX2 gather-based kernel when the CPU supports it, else the scalar
-/// 4-lane kernel; both produce identical output. Throws std::out_of_range
-/// on truncated lanes and std::runtime_error on corrupt lane offsets.
+/// Decodes `count` symbols from an interleaved v2 payload with the portable
+/// 4-lane kernel. Throws std::out_of_range on truncated lanes and
+/// std::runtime_error on corrupt lane offsets.
 std::vector<int> rans_decode_interleaved(const std::uint8_t* data,
                                          std::size_t size, std::size_t count,
                                          const FrequencyTable& table);
@@ -152,15 +148,14 @@ std::vector<int> rans_decode_interleaved_with_table(const std::uint8_t* data,
 
 namespace detail {
 
-/// Force-scalar interleaved decode. Test/bench hook: the public entry point
-/// dispatches; this pins the portable kernel so byte-exactness between the
-/// two can be asserted.
+/// Same as rans_decode_interleaved: there is one decode kernel. Kept, with
+/// the function below, because the perfbench/ ledger calls both.
 std::vector<int> rans_decode_interleaved_scalar(const std::uint8_t* data,
                                                 std::size_t size,
                                                 std::size_t count,
                                                 const FrequencyTable& table);
 
-/// True when the running CPU dispatches to the AVX2 decode kernel.
+/// Always false: there is no AVX2 decode kernel any more.
 bool rans_interleaved_avx2_available();
 
 }  // namespace detail

@@ -12,11 +12,9 @@
 // lanes (symbol i -> lane i % 4), which keeps encode deterministic and lets
 // the decoder emit in plain forward order.
 //
-// The AVX2 kernel performs the slot and freq|cum lookups as gathers and the
-// state update as one vectorised multiply-add over all four lanes; only the
-// (rare-ish) renormalisation word reads run scalar, selected by movemask.
-// It is dispatched at runtime like tensor::kern and produces byte-identical
-// symbols to the portable kernel.
+// There is one decode kernel, the portable 4-lane one below. An AVX2 gather
+// kernel, picked by a timed race at startup, was removed: in bench_codec it
+// was within ~3% of this kernel in 5 of 6 runs and 14% slower in the sixth.
 //
 // State invariants (L = 2^16, b = 2^16, kProbBits = 14):
 //   encode: x in [L, b*L) before each step; renormalise (emit one u16) when
@@ -25,14 +23,8 @@
 //           restores x >= 2^16 = L — again at most once.
 #include "entropy/rans.hpp"
 
-#include <chrono>
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EASZ_RANS_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
 
 namespace easz::entropy {
 namespace {
@@ -190,134 +182,6 @@ void decode_lanes_scalar(LaneCursors& c, const SlotT* slot_sym,
   }
 }
 
-void decode_scalar(LaneCursors& c, const FrequencyTable& table,
-                   std::size_t count, int* out) {
-  if (table.slot_sym8() != nullptr) {
-    decode_lanes_scalar(c, table.slot_sym8(), table.sym_fc(), count, out);
-  } else {
-    decode_lanes_scalar(c, table.slot_sym16(), table.sym_fc(), count, out);
-  }
-}
-
-#ifdef EASZ_RANS_X86_DISPATCH
-
-/// AVX2 kernel: table lookups as 32-bit gathers over the packed slot and
-/// freq|cum tables, state update vectorised across the four lanes, word
-/// renormalisation scalar per movemask-selected lane.
-__attribute__((target("avx2"))) void decode_avx2(LaneCursors& c,
-                                                 const FrequencyTable& table,
-                                                 std::size_t count, int* out) {
-  constexpr std::uint32_t kMask = FrequencyTable::kProbScale - 1U;
-  const std::uint8_t* sym8 = table.slot_sym8();
-  const std::uint16_t* sym16 = table.slot_sym16();
-  const std::uint32_t* fc = table.sym_fc();
-
-  alignas(16) std::uint32_t xs_mem[4];
-  std::memcpy(xs_mem, c.state, sizeof(xs_mem));
-  __m128i x = _mm_load_si128(reinterpret_cast<const __m128i*>(xs_mem));
-  const __m128i slot_mask = _mm_set1_epi32(static_cast<int>(kMask));
-  const __m128i low16 = _mm_set1_epi32(0xFFFF);
-  const __m128i sign_flip = _mm_set1_epi32(static_cast<int>(0x80000000U));
-  // Unsigned x < 2^16 via the signed-compare offset trick.
-  const __m128i lower_biased =
-      _mm_set1_epi32(static_cast<int>(kInterleavedLowerBound ^ 0x80000000U));
-
-  std::size_t i = 0;
-  for (; i + kRansLanes <= count; i += kRansLanes) {
-    const __m128i slot = _mm_and_si128(x, slot_mask);
-    __m128i sym;
-    if (sym8 != nullptr) {
-      // Scale-1 gather reads 4 bytes at slot; the table is padded so the
-      // tail loads stay in bounds. Low byte is the symbol.
-      sym = _mm_and_si128(
-          _mm_i32gather_epi32(reinterpret_cast<const int*>(sym8), slot, 1),
-          _mm_set1_epi32(0xFF));
-    } else {
-      sym = _mm_and_si128(
-          _mm_i32gather_epi32(reinterpret_cast<const int*>(sym16), slot, 2),
-          low16);
-    }
-    const __m128i v =
-        _mm_i32gather_epi32(reinterpret_cast<const int*>(fc), sym, 4);
-    const __m128i f = _mm_srli_epi32(v, 16);
-    const __m128i cum = _mm_and_si128(v, low16);
-    x = _mm_add_epi32(
-        _mm_mullo_epi32(f, _mm_srli_epi32(x, FrequencyTable::kProbBits)),
-        _mm_sub_epi32(slot, cum));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), sym);
-
-    const __m128i need = _mm_cmplt_epi32(_mm_xor_si128(x, sign_flip),
-                                         lower_biased);
-    int m = _mm_movemask_ps(_mm_castsi128_ps(need));
-    if (m != 0) {
-      _mm_store_si128(reinterpret_cast<__m128i*>(xs_mem), x);
-      while (m != 0) {
-        const int l = __builtin_ctz(static_cast<unsigned>(m));
-        m &= m - 1;
-        if (c.pos[l] + 2 > c.end[l]) {
-          throw std::out_of_range("rans_decode_interleaved: truncated lane");
-        }
-        xs_mem[l] = (xs_mem[l] << 16U) |
-                    (static_cast<std::uint32_t>(c.pos[l][0]) |
-                     (static_cast<std::uint32_t>(c.pos[l][1]) << 8U));
-        c.pos[l] += 2;
-      }
-      x = _mm_load_si128(reinterpret_cast<const __m128i*>(xs_mem));
-    }
-  }
-  _mm_store_si128(reinterpret_cast<__m128i*>(xs_mem), x);
-  std::memcpy(c.state, xs_mem, sizeof(xs_mem));
-  if (i < count) decode_scalar(c, table, count - i, out + i);
-}
-
-bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-/// One-shot micro-calibration: gathers are fast on some cores and microcoded
-/// on others, and which kernel wins cannot be known from CPUID alone. Both
-/// kernels are byte-exact, so picking by a ~1 ms timed race on a synthetic
-/// stream is purely a speed decision. Runs once per process, at the first
-/// interleaved decode.
-bool avx2_wins_race() {
-  constexpr int kAlphabet = 64;
-  constexpr std::size_t kSymbols = 16384;
-  std::vector<int> symbols(kSymbols);
-  std::uint32_t lcg = 0x12345u;
-  for (auto& s : symbols) {
-    lcg = lcg * 1664525u + 1013904223u;
-    // Geometric-ish skew, like coefficient streams.
-    s = static_cast<int>((lcg >> 17U) % 7 + (lcg >> 27U) % 9);
-  }
-  std::vector<std::uint64_t> counts(kAlphabet, 0);
-  for (const int s : symbols) ++counts[static_cast<std::size_t>(s)];
-  const FrequencyTable table = FrequencyTable::from_counts(counts);
-  const std::vector<std::uint8_t> stream =
-      rans_encode_interleaved(symbols, table);
-  table.ensure_lookup();
-  std::vector<int> out(kSymbols);
-
-  const auto race = [&](auto&& kernel) {
-    std::uint64_t best = ~0ULL;
-    for (int rep = 0; rep < 4; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      LaneCursors c = open_lanes(stream.data(), stream.size());
-      kernel(c);
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(t1 - t0)
-                                    .count()));
-    }
-    return best;
-  };
-  const std::uint64_t t_scalar =
-      race([&](LaneCursors& c) { decode_scalar(c, table, kSymbols, out.data()); });
-  const std::uint64_t t_avx2 =
-      race([&](LaneCursors& c) { decode_avx2(c, table, kSymbols, out.data()); });
-  return t_avx2 < t_scalar;
-}
-
-#endif  // EASZ_RANS_X86_DISPATCH
-
 }  // namespace
 
 std::vector<std::uint8_t> rans_encode_interleaved(
@@ -387,14 +251,13 @@ std::vector<int> rans_decode_interleaved(const std::uint8_t* data,
   if (count == 0) return {};
   table.ensure_lookup();
   std::vector<int> out(count);
-#ifdef EASZ_RANS_X86_DISPATCH
-  static const bool use_avx2 = cpu_has_avx2() && avx2_wins_race();
-  if (use_avx2) {
-    decode_avx2(c, table, count, out.data());
-    return out;
+  if (table.slot_sym8() != nullptr) {
+    decode_lanes_scalar(c, table.slot_sym8(), table.sym_fc(), count,
+                        out.data());
+  } else {
+    decode_lanes_scalar(c, table.slot_sym16(), table.sym_fc(), count,
+                        out.data());
   }
-#endif
-  decode_scalar(c, table, count, out.data());
   return out;
 }
 
@@ -404,21 +267,10 @@ std::vector<int> rans_decode_interleaved_scalar(const std::uint8_t* data,
                                                 std::size_t size,
                                                 std::size_t count,
                                                 const FrequencyTable& table) {
-  LaneCursors c = open_lanes(data, size);
-  if (count == 0) return {};
-  table.ensure_lookup();
-  std::vector<int> out(count);
-  decode_scalar(c, table, count, out.data());
-  return out;
+  return rans_decode_interleaved(data, size, count, table);
 }
 
-bool rans_interleaved_avx2_available() {
-#ifdef EASZ_RANS_X86_DISPATCH
-  return cpu_has_avx2();
-#else
-  return false;
-#endif
-}
+bool rans_interleaved_avx2_available() { return false; }
 
 }  // namespace detail
 

@@ -1129,7 +1129,6 @@ void ReconServer::fail_request(const std::shared_ptr<Job>& job,
   // tenant got no service for it), but stays counted as admitted — see
   // TenantRegistry::release_failed for the contract.
   tenants_.release_failed(job->tenant);
-  hot_.failed.add();
   hot_.requests_failed.add();
   trace_.record(job->request_id, obs::SpanKind::kFailed, job->submit_us,
                 trace_.now_us() - job->submit_us,

@@ -500,7 +500,6 @@ class ReconServer {
     explicit HotMetrics(obs::Registry& r)
         : submitted(r.counter("serve.submitted")),
           completed(r.counter("serve.completed")),
-          failed(r.counter("serve.failed")),
           requests_failed(r.counter("serve.requests.failed")),
           callback_errors(r.counter("serve.callback_errors")),
           cache_hits(r.counter("serve.cache_hits")),
@@ -516,10 +515,6 @@ class ReconServer {
           ladder_rung(r.gauge("ladder.rung")) {}
     obs::Counter& submitted;
     obs::Counter& completed;
-    obs::Counter& failed;
-    // serve.failed predates this name and stays for dashboard compat;
-    // serve.requests.failed is the documented failure counter (always
-    // bumped together — DESIGN.md §10).
     obs::Counter& requests_failed;
     obs::Counter& callback_errors;  // throwing ResponseCallbacks, contained
     obs::Counter& cache_hits;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "entropy/arithmetic.hpp"
 #include "entropy/bitstream.hpp"
 #include "entropy/huffman.hpp"
 #include "entropy/rans.hpp"
@@ -244,81 +243,6 @@ TEST(Rans, TruncatedStreamThrows) {
   encoded.resize(2);
   EXPECT_THROW(rans_decode(encoded.data(), encoded.size(), 100, table),
                std::out_of_range);
-}
-
-
-TEST(Arithmetic, BitRoundTripWithSharedContextTrajectory) {
-  util::Pcg32 rng(31);
-  std::vector<bool> bits;
-  for (int i = 0; i < 20000; ++i) bits.push_back(rng.next_float() < 0.8F);
-
-  ArithmeticEncoder enc;
-  BinContext enc_ctx;
-  for (const bool b : bits) enc.encode_bit(enc_ctx, b);
-  const auto bytes = enc.finish();
-
-  ArithmeticDecoder dec(bytes);
-  BinContext dec_ctx;
-  for (const bool b : bits) EXPECT_EQ(dec.decode_bit(dec_ctx), b);
-}
-
-TEST(Arithmetic, AdaptationApproachesSourceEntropy) {
-  // p(1) = 0.95 source: entropy ~0.286 bits/bit. The adaptive coder should
-  // land well under 0.5 bits/bit without any table.
-  util::Pcg32 rng(32);
-  std::vector<bool> bits;
-  for (int i = 0; i < 50000; ++i) bits.push_back(rng.next_float() < 0.95F);
-  ArithmeticEncoder enc;
-  BinContext ctx;
-  for (const bool b : bits) enc.encode_bit(ctx, b);
-  const auto bytes = enc.finish();
-  EXPECT_LT(static_cast<double>(bytes.size()) * 8.0 / bits.size(), 0.45);
-}
-
-TEST(Arithmetic, BypassBitsRoundTrip) {
-  util::Pcg32 rng(33);
-  std::vector<std::uint32_t> words;
-  for (int i = 0; i < 500; ++i) words.push_back(rng.next_u32() & 0xFFFFU);
-  ArithmeticEncoder enc;
-  for (const auto w : words) enc.encode_bypass_bits(w, 16);
-  const auto bytes = enc.finish();
-  // Bypass coding is ~1 bit/bit; expect close to 1000 bytes.
-  EXPECT_NEAR(static_cast<double>(bytes.size()), 1000.0, 40.0);
-  ArithmeticDecoder dec(bytes);
-  for (const auto w : words) EXPECT_EQ(dec.decode_bypass_bits(16), w);
-}
-
-TEST(Arithmetic, ValueCodecRoundTrip) {
-  util::Pcg32 rng(34);
-  std::vector<std::uint32_t> values;
-  for (int i = 0; i < 20000; ++i) {
-    // Mixed magnitudes incl. zeros and large outliers.
-    const float u = rng.next_float();
-    values.push_back(u < 0.7F ? 0
-                     : u < 0.95F ? rng.next_below(16)
-                                 : rng.next_below(100000));
-  }
-  const auto bytes = arithmetic_encode_values(values);
-  EXPECT_EQ(arithmetic_decode_values(bytes, values.size()), values);
-}
-
-TEST(Arithmetic, ValueCodecBeatsFixedWidthOnSkewedData) {
-  // Mostly-zero stream: adaptive EG coding must land far below 8 bits/value.
-  util::Pcg32 rng(35);
-  std::vector<std::uint32_t> values;
-  for (int i = 0; i < 30000; ++i) {
-    values.push_back(rng.next_float() < 0.9F ? 0 : rng.next_below(200));
-  }
-  const auto bytes = arithmetic_encode_values(values);
-  EXPECT_LT(static_cast<double>(bytes.size()) * 8.0 / values.size(), 1.5);
-}
-
-TEST(Arithmetic, ContextProbabilityClampsAtExtremes) {
-  BinContext ctx;
-  for (int i = 0; i < 10000; ++i) ctx.update(true);
-  EXPECT_LE(ctx.prob_one(), 0xFFFFU - 32);
-  for (int i = 0; i < 10000; ++i) ctx.update(false);
-  EXPECT_GE(ctx.prob_one(), 32);
 }
 
 }  // namespace

@@ -12,17 +12,18 @@
 // every header byte position gets hit across the seeds.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
-
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "codec/bpg_like.hpp"
 #include "codec/jpeg_like.hpp"
 #include "core/container.hpp"
 #include "core/pipeline.hpp"
 #include "data/synth.hpp"
+#include "entropy/rans.hpp"
 #include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 #include "util/prng.hpp"
@@ -194,6 +195,87 @@ TEST(Ezb2Fuzz, HeaderBitFlipsThrowAcrossTheWholeHeader) {
     }
   }
   EXPECT_EQ(threw, tried) << "corrupt magic must never decode";
+}
+
+// Hand-built grayscale EZB2 stream: `blocks_x` 16x16 luma blocks in one
+// row, every block in DC mode, then the given escapes and coefficient
+// symbols. The header is valid, so decode reaches the per-block token
+// checks; the cases below each break exactly one of them.
+codec::Compressed ezb2_gray(int blocks_x, const std::vector<std::int32_t>& escapes,
+                            const std::vector<int>& symbols) {
+  std::vector<std::uint8_t> b = {'E', 'Z', 'B', '2'};
+  const auto u32 = [&b](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  u32(static_cast<std::uint32_t>(16 * blocks_x));  // width
+  u32(16);                                          // height
+  b.push_back(0);                                   // grayscale
+  b.push_back(50);                                  // quality
+  u32(static_cast<std::uint32_t>(blocks_x));        // mode count
+  b.insert(b.end(), (blocks_x * 3 + 7) / 8, 0);     // 3-bit modes, all DC
+  u32(static_cast<std::uint32_t>(escapes.size()));
+  for (const std::int32_t e : escapes) u32(static_cast<std::uint32_t>(e));
+  u32(static_cast<std::uint32_t>(symbols.size()));
+  const std::vector<std::uint8_t> payload =
+      entropy::rans_encode_interleaved_with_table(symbols, 255);
+  u32(static_cast<std::uint32_t>(payload.size()));
+  b.insert(b.end(), payload.begin(), payload.end());
+  codec::Compressed c;
+  c.bytes = std::move(b);
+  c.width = 16 * blocks_x;
+  c.height = 16;
+  c.channels = 1;
+  return c;
+}
+
+void expect_bpg_error(const codec::Compressed& c, const char* message) {
+  const codec::BpgLikeCodec bpg(50);
+  try {
+    (void)bpg.decode(c);
+    ADD_FAILURE() << "decoded; expected \"" << message << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), message);
+  }
+}
+
+// Coefficient symbols of the bpg codec (bpg_like.cpp): levels are biased by
+// 96, 193 + k is a run of k + 1 zeros, 253 ends a block, 254 is an escape.
+constexpr int kLevelOne = 97;
+constexpr int kRun16 = 193 + 15;
+constexpr int kRun60 = 193 + 59;
+constexpr int kEob = 253;
+constexpr int kEscape = 254;
+
+TEST(Ezb2Fuzz, HandBuiltStreamDecodes) {
+  // Control for the cases below: the builder itself makes valid streams.
+  const codec::BpgLikeCodec bpg(50);
+  const image::Image out = bpg.decode(
+      ezb2_gray(2, {300}, {kLevelOne, kEob, kEscape, kEob}));
+  EXPECT_EQ(out.width(), 32);
+  EXPECT_EQ(out.height(), 16);
+}
+
+TEST(Ezb2Fuzz, TooFewSymbolsForTheDeclaredBlocksThrows) {
+  // Two blocks declared, one EOB: the second block runs off the stream.
+  expect_bpg_error(ezb2_gray(2, {}, {kLevelOne, kEob}),
+                   "bpg: symbol stream underrun");
+}
+
+TEST(Ezb2Fuzz, LevelPastTheLastCoefficientThrows) {
+  // Zero runs skip all 256 coefficients of the 16x16 block; the level that
+  // follows would land on coefficient 256.
+  expect_bpg_error(
+      ezb2_gray(1, {}, {kRun60, kRun60, kRun60, kRun60, kRun16, kLevelOne, kEob}),
+      "bpg: coeff overrun");
+  // The last coefficient itself (index 255) is still writable.
+  const codec::BpgLikeCodec bpg(50);
+  EXPECT_NO_THROW((void)bpg.decode(ezb2_gray(
+      1, {}, {kRun60, kRun60, kRun60, kRun60, 193 + 14, kLevelOne, kEob})));
+}
+
+TEST(Ezb2Fuzz, MoreEscapeSymbolsThanEscapesThrows) {
+  expect_bpg_error(ezb2_gray(1, {500}, {kEscape, kEscape, kEob}),
+                   "bpg: escape stream underrun");
 }
 
 // ------------------------------------------------------- EAZQ sidecar

@@ -87,19 +87,6 @@ TEST(RansInterleaved, RoundTripShortCounts) {
   }
 }
 
-TEST(RansInterleaved, DispatchedAndScalarKernelsAreByteExact) {
-  const auto symbols = skewed_symbols(50000, 255, 113);
-  const auto table = table_for(symbols, 255);
-  const auto encoded = rans_encode_interleaved(symbols, table);
-  const auto dispatched = rans_decode_interleaved(encoded.data(),
-                                                  encoded.size(),
-                                                  symbols.size(), table);
-  const auto scalar = detail::rans_decode_interleaved_scalar(
-      encoded.data(), encoded.size(), symbols.size(), table);
-  EXPECT_EQ(dispatched, scalar);
-  EXPECT_EQ(dispatched, symbols);
-}
-
 TEST(RansInterleaved, EncodeIsDeterministic) {
   const auto symbols = skewed_symbols(10000, 64, 127);
   const auto table = table_for(symbols, 64);

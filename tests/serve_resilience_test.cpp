@@ -452,7 +452,7 @@ TEST(LadderSchedTest, ForcedRungsServeByteIdenticalAndFp32PinHolds) {
   server.drain();
 
   for (int rung = 0; rung <= 3; ++rung) {
-    const std::string name = "f" + std::to_string(rung);
+    const std::string name = std::string("f").append(std::to_string(rung));
     const ServeResponse resp = futures.at(name).get();
     EXPECT_EQ(resp.rung, rung) << name;
     const image::Image want =

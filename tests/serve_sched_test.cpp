@@ -1140,7 +1140,7 @@ TEST(ServeSchedTest, ClientRegistryCrossChecksServerCounters) {
   // Server-side hot counters agree with the mutex-guarded snapshot.
   EXPECT_EQ(reg.counter("serve.submitted"), stats.submitted);
   EXPECT_EQ(reg.counter("serve.completed"), stats.completed);
-  EXPECT_EQ(reg.counter("serve.failed"), stats.failed);
+  EXPECT_EQ(reg.counter("serve.requests.failed"), stats.failed);
   EXPECT_EQ(reg.counter("serve.shed.queue_full") +
                 reg.counter("serve.shed.rate_limited") +
                 reg.counter("serve.shed.quota"),
