@@ -13,7 +13,9 @@
 //   * batched_matmul loop-order fix: the old per-(i,j) dot over
 //     column-strided B vs the row-accumulate order tensor::bmm now uses.
 //   * Transformer forward tokens/s: autograd forward() vs kernel infer(),
-//     single- and multi-threaded, on the canonical serve model.
+//     single- and multi-threaded, on the canonical serve model, plus the
+//     serving entry reconstruct() (erased rows only past the last decoder
+//     block's attention) at 1 thread.
 //   * Int8 path (DESIGN.md §7): quantized GEMM GOP/s vs the fp32 kernel on
 //     the same shapes, and int8 vs fp32 forward tokens/s on calibrated
 //     models — the headline the quantized path exists for (the target is
@@ -323,7 +325,7 @@ int main(int argc, char** argv) try {
     }
     util::Table t({"model", "batch", "autograd tok/s", "kern@1 tok/s",
                    std::string("kern@") + std::to_string(multi) + " tok/s",
-                   "kern@1/autograd"});
+                   "kern@1/autograd", "reconstruct@1 tok/s"});
     json += ",\"forward\":[";
     for (std::size_t ci = 0; ci < cases.size(); ++ci) {
       const ModelCase& mc = cases[ci];
@@ -344,6 +346,10 @@ int main(int argc, char** argv) try {
           best_seconds(reps, [&] { (void)model.forward(tokens, mask); });
       const double t_k1 =
           best_seconds(reps, [&] { (void)model.infer(tokens, mask); });
+      // reconstruct(): the serving entry, whose last decoder block and head
+      // run for the erased tokens only. Reported, not gated.
+      const double t_r1 =
+          best_seconds(reps, [&] { (void)model.reconstruct(tokens, mask); });
       kern::set_threads(multi);
       const double t_kn =
           best_seconds(reps, [&] { (void)model.infer(tokens, mask); });
@@ -352,13 +358,15 @@ int main(int argc, char** argv) try {
                  util::Table::num(toks / t_auto, 0),
                  util::Table::num(toks / t_k1, 0),
                  util::Table::num(toks / t_kn, 0),
-                 util::Table::num(t_auto / t_k1, 2)});
+                 util::Table::num(t_auto / t_k1, 2),
+                 util::Table::num(toks / t_r1, 0)});
       json += std::string(ci == 0 ? "" : ",") + "{\"config\":\"" + mc.name +
               "\",\"batch\":" + std::to_string(mc.batch) +
               ",\"autograd_tokens_per_s\":" + json_num(toks / t_auto) +
               ",\"kernel_t1_tokens_per_s\":" + json_num(toks / t_k1) +
               ",\"kernel_multi_tokens_per_s\":" + json_num(toks / t_kn) +
               ",\"kernel_vs_autograd_t1\":" + json_num(t_auto / t_k1) +
+              ",\"reconstruct_tok_s_t1\":" + json_num(toks / t_r1) +
               ",\"multi_threads\":" + std::to_string(multi) + "}";
     }
     json += "]";

@@ -83,6 +83,16 @@ nn::Tensor ReconstructionModel::forward(const nn::Tensor& tokens,
 nn::Tensor ReconstructionModel::infer(const nn::Tensor& tokens,
                                       const EraseMask& mask,
                                       nn::Precision precision) const {
+  const float* rows = infer_rows(tokens, mask, precision, nullptr);
+  nn::Tensor out({tokens.dim(0), config_.patchify.tokens(),
+                  config_.patchify.token_dim(config_.channels)});
+  std::copy_n(rows, out.numel(), out.data().data());
+  return out;
+}
+
+const float* ReconstructionModel::infer_rows(
+    const nn::Tensor& tokens, const EraseMask& mask, nn::Precision precision,
+    const std::vector<int>* positions) const {
   namespace kern = tensor::kern;
   const bool int8 = precision == nn::Precision::kInt8;
   if (int8 && !is_quantized()) {
@@ -163,22 +173,40 @@ nn::Tensor ReconstructionModel::infer(const nn::Tensor& tokens,
                    static_cast<std::size_t>(total) * d);  // pos is [N^2, D]
   }
 
+  // Every decoder block but the last needs every position (the next
+  // block's keys and values); the last emits only the requested rows.
   float* pong = ws.alloc(static_cast<std::size_t>(batch) * total * d);
   float* cur_y = y;
-  for (const auto& block : decoder_) {
+  for (std::size_t i = 0; i < decoder_.size(); ++i) {
+    const std::vector<int>* rows =
+        i + 1 == decoder_.size() ? positions : nullptr;
     if (int8) {
-      block->infer_q(cur_y, pong, batch, total, ws);
+      decoder_[i]->infer_q(cur_y, pong, batch, total, ws, rows);
     } else {
-      block->infer(cur_y, pong, batch, total, ws);
+      decoder_[i]->infer(cur_y, pong, batch, total, ws, rows);
     }
     std::swap(cur_y, pong);
   }
+  int out_rows = batch * total;
+  if (positions != nullptr) {
+    out_rows = batch * static_cast<int>(positions->size());
+    if (decoder_.empty()) {  // no block to cut: gather before the head
+      for (int b = 0; b < batch; ++b) {
+        for (std::size_t r = 0; r < positions->size(); ++r) {
+          std::copy_n(
+              y + (static_cast<std::size_t>(b) * total + (*positions)[r]) * d,
+              d, pong + (b * positions->size() + r) * d);
+        }
+      }
+      cur_y = pong;
+    }
+  }
 
-  nn::Tensor out({batch, total, token_dim});
+  float* out = ws.alloc(static_cast<std::size_t>(out_rows) * token_dim);
   if (int8) {
-    head_->infer_q(cur_y, out.data().data(), batch * total);
+    head_->infer_q(cur_y, out, out_rows);
   } else {
-    head_->infer(cur_y, out.data().data(), batch * total);
+    head_->infer(cur_y, out, out_rows);
   }
   return out;
 }
@@ -186,21 +214,23 @@ nn::Tensor ReconstructionModel::infer(const nn::Tensor& tokens,
 nn::Tensor ReconstructionModel::reconstruct(const nn::Tensor& tokens,
                                             const EraseMask& mask,
                                             nn::Precision precision) const {
-  // Serving hot path: grad-free kernel forward (see infer). The autograd
-  // forward() stays reserved for training.
-  nn::Tensor out = infer(tokens, mask, precision);
-  // Paste-through: keep original values where nothing was erased.
+  // Serving hot path: the kernel forward, cut to the erased positions after
+  // the last decoder block's attention (the decoder only ever has to be
+  // trusted for erased content). Kept positions paste straight through.
+  const std::vector<int> erased = mask.erased_indices();
+  const float* pred = infer_rows(tokens, mask, precision, &erased);
+  const int batch = tokens.dim(0);
   const int total = config_.patchify.tokens();
   const int token_dim = config_.patchify.token_dim(config_.channels);
-  const int batch = tokens.dim(0);
-  const std::vector<int> kept = mask.kept_indices();
+
+  nn::Tensor out({batch, total, token_dim});
+  std::copy(tokens.data().begin(), tokens.data().end(), out.data().begin());
   for (int b = 0; b < batch; ++b) {
-    for (const int j : kept) {
-      const std::size_t off =
-          (static_cast<std::size_t>(b) * total + j) * token_dim;
-      for (int d = 0; d < token_dim; ++d) {
-        out.data()[off + d] = tokens.data()[off + d];
-      }
+    for (std::size_t r = 0; r < erased.size(); ++r) {
+      std::copy_n(
+          pred + (b * erased.size() + r) * token_dim, token_dim,
+          out.data().data() +
+              (static_cast<std::size_t>(b) * total + erased[r]) * token_dim);
     }
   }
   // Clamp predictions into the valid sample range.

@@ -57,9 +57,12 @@ class ReconstructionModel : public nn::Module {
       const nn::Tensor& tokens, const EraseMask& mask,
       nn::Precision precision = nn::Precision::kFp32) const;
 
-  /// Inference convenience: infer + paste-through of kept tokens (the
-  /// decoder only ever has to be trusted for erased content). Runs on the
-  /// kernel fast path, never the autograd substrate.
+  /// Inference convenience: infer + paste-through of kept tokens + clamp
+  /// to [0, 1] (the decoder only ever has to be trusted for erased
+  /// content). Runs on the kernel fast path, never the autograd substrate,
+  /// and computes the last decoder block past its attention, and the head,
+  /// for the erased positions only: the result is byte-identical to
+  /// infer() followed by the paste-through and clamp.
   ///
   /// Re-entrant: infer passes only read parameter data, so many threads
   /// may call this concurrently on one model (the serve runtime does) —
@@ -116,6 +119,15 @@ class ReconstructionModel : public nn::Module {
  private:
   /// Every Linear in sidecar order (see quant_sidecar).
   [[nodiscard]] std::vector<nn::Linear*> linears() const;
+
+  /// The kernel forward behind infer() and reconstruct(). Returns the head
+  /// output in the calling thread's Workspace (valid until its next reset):
+  /// [B * N^2, token_dim], or with `positions` (grid positions) only those
+  /// rows, [B * positions->size(), token_dim], the last decoder block and
+  /// the head then running for those rows alone.
+  [[nodiscard]] const float* infer_rows(
+      const nn::Tensor& tokens, const EraseMask& mask,
+      nn::Precision precision, const std::vector<int>* positions) const;
 
   ReconModelConfig config_;
   std::uint64_t version_ = 0;               // deployment tag, see version()

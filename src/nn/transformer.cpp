@@ -1,5 +1,6 @@
 #include "nn/transformer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -51,24 +52,34 @@ Tensor MultiHeadAttention::forward(const Tensor& x) const {
 
 void MultiHeadAttention::infer(const float* x, float* out, int batch,
                                int tokens, tensor::kern::Workspace& ws,
-                               const float* residual) const {
+                               const float* residual,
+                               const std::vector<int>* queries) const {
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
+  const std::size_t out_rows =
+      queries == nullptr ? rows : batch * queries->size();
   float* qkv = ws.alloc(rows * 3 * static_cast<std::size_t>(d_model_));
   qkv_->infer(x, qkv, static_cast<int>(rows));
-  float* merged = ws.alloc(rows * static_cast<std::size_t>(d_model_));
-  tensor::kern::attention(qkv, merged, batch, tokens, heads_, head_dim_);
-  proj_->infer(merged, out, static_cast<int>(rows), false, true, residual);
+  float* merged = ws.alloc(out_rows * static_cast<std::size_t>(d_model_));
+  tensor::kern::attention(qkv, merged, batch, tokens, heads_, head_dim_,
+                          queries);
+  proj_->infer(merged, out, static_cast<int>(out_rows), false, true,
+               residual);
 }
 
 void MultiHeadAttention::infer_q(const float* x, float* out, int batch,
                                  int tokens, tensor::kern::Workspace& ws,
-                                 const float* residual) const {
+                                 const float* residual,
+                                 const std::vector<int>* queries) const {
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
+  const std::size_t out_rows =
+      queries == nullptr ? rows : batch * queries->size();
   float* qkv = ws.alloc(rows * 3 * static_cast<std::size_t>(d_model_));
   qkv_->infer_q(x, qkv, static_cast<int>(rows));
-  float* merged = ws.alloc(rows * static_cast<std::size_t>(d_model_));
-  tensor::kern::attention(qkv, merged, batch, tokens, heads_, head_dim_);
-  proj_->infer_q(merged, out, static_cast<int>(rows), false, true, residual);
+  float* merged = ws.alloc(out_rows * static_cast<std::size_t>(d_model_));
+  tensor::kern::attention(qkv, merged, batch, tokens, heads_, head_dim_,
+                          queries);
+  proj_->infer_q(merged, out, static_cast<int>(out_rows), false, true,
+                 residual);
 }
 
 double MultiHeadAttention::flops(int batch, int tokens, int d_model,
@@ -136,37 +147,56 @@ Tensor TransformerBlock::forward(const Tensor& x) const {
 }
 
 void TransformerBlock::infer(const float* x, float* out, int batch, int tokens,
-                             tensor::kern::Workspace& ws) const {
-  const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
-  const std::size_t n = rows * static_cast<std::size_t>(attn_->d_model());
-
-  float* normed = ws.alloc(n);
-  ln1_->infer(x, normed, rows);
-  float* attn = ws.alloc(n);
-  attn_->infer(normed, attn, batch, tokens, ws, x);  // x + Attn(LN1(x))
-
-  ln2_->infer(attn, normed, rows);  // normed buffer reused
-  float* ffn = ws.alloc(n);
-  ffn_->infer(normed, ffn, static_cast<int>(rows), ws, attn);
-
-  ln3_->infer(ffn, out, rows);
+                             tensor::kern::Workspace& ws,
+                             const std::vector<int>* positions) const {
+  run(x, out, batch, tokens, ws, positions, /*int8=*/false);
 }
 
 void TransformerBlock::infer_q(const float* x, float* out, int batch,
-                               int tokens, tensor::kern::Workspace& ws) const {
+                               int tokens, tensor::kern::Workspace& ws,
+                               const std::vector<int>* positions) const {
+  run(x, out, batch, tokens, ws, positions, /*int8=*/true);
+}
+
+void TransformerBlock::run(const float* x, float* out, int batch, int tokens,
+                           tensor::kern::Workspace& ws,
+                           const std::vector<int>* positions,
+                           bool int8) const {
+  const std::size_t d = static_cast<std::size_t>(attn_->d_model());
   const std::size_t rows = static_cast<std::size_t>(batch) * tokens;
-  const std::size_t n = rows * static_cast<std::size_t>(attn_->d_model());
+  const std::size_t out_rows =
+      positions == nullptr ? rows : batch * positions->size();
 
-  float* normed = ws.alloc(n);
+  float* normed = ws.alloc(rows * d);
   ln1_->infer(x, normed, rows);
-  float* attn = ws.alloc(n);
-  attn_->infer_q(normed, attn, batch, tokens, ws, x);  // x + Attn(LN1(x))
+  // The attention residual is x at the listed rows.
+  const float* residual = x;
+  if (positions != nullptr) {
+    float* gathered = ws.alloc(out_rows * d);
+    for (std::size_t b = 0; b < static_cast<std::size_t>(batch); ++b) {
+      for (std::size_t r = 0; r < positions->size(); ++r) {
+        std::copy_n(x + (b * tokens + (*positions)[r]) * d, d,
+                    gathered + (b * positions->size() + r) * d);
+      }
+    }
+    residual = gathered;
+  }
+  float* attn = ws.alloc(out_rows * d);  // x + Attn(LN1(x))
+  if (int8) {
+    attn_->infer_q(normed, attn, batch, tokens, ws, residual, positions);
+  } else {
+    attn_->infer(normed, attn, batch, tokens, ws, residual, positions);
+  }
 
-  ln2_->infer(attn, normed, rows);  // normed buffer reused
-  float* ffn = ws.alloc(n);
-  ffn_->infer_q(normed, ffn, static_cast<int>(rows), ws, attn);
+  ln2_->infer(attn, normed, out_rows);  // normed buffer reused
+  float* ffn = ws.alloc(out_rows * d);
+  if (int8) {
+    ffn_->infer_q(normed, ffn, static_cast<int>(out_rows), ws, attn);
+  } else {
+    ffn_->infer(normed, ffn, static_cast<int>(out_rows), ws, attn);
+  }
 
-  ln3_->infer(ffn, out, rows);
+  ln3_->infer(ffn, out, out_rows);
 }
 
 double TransformerBlock::flops(int batch, int tokens, int d_model,

@@ -21,22 +21,25 @@ class MultiHeadAttention : public Module {
 
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
-  /// x, out: [batch * tokens, D] row-major. The fused attention core
+  /// x: [batch * tokens, D] row-major. The fused attention core
   /// (kern::attention) parallelises over (batch, head) pairs on the kern
   /// pool; scratch comes from `ws` (no heap allocation once the arena is
-  /// warm). A non-null `residual` ([batch * tokens, D]) is added in the
-  /// output projection's epilogue. Not safe concurrently with training.
+  /// warm). A non-null `queries` (token positions, the same for every
+  /// sequence) computes only those output rows: out and `residual` are then
+  /// [batch * queries->size(), D], otherwise [batch * tokens, D]. A
+  /// non-null `residual` is added in the output projection's epilogue. Not
+  /// safe concurrently with training.
   void infer(const float* x, float* out, int batch, int tokens,
-             tensor::kern::Workspace& ws,
-             const float* residual = nullptr) const;
+             tensor::kern::Workspace& ws, const float* residual = nullptr,
+             const std::vector<int>* queries = nullptr) const;
 
   /// Int8 variant: qkv and output projections run the quantized kernel;
   /// the attention core (scores, softmax, weighted sum) stays fp32 —
   /// activations round-trip through int8 only at layer boundaries
   /// (DESIGN.md §7). Requires quantized() == true.
   void infer_q(const float* x, float* out, int batch, int tokens,
-               tensor::kern::Workspace& ws,
-               const float* residual = nullptr) const;
+               tensor::kern::Workspace& ws, const float* residual = nullptr,
+               const std::vector<int>* queries = nullptr) const;
 
   [[nodiscard]] bool quantized() const {
     return qkv_->quantized() && proj_->quantized();
@@ -107,16 +110,23 @@ class TransformerBlock : public Module {
 
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
-  /// x, out: [batch * tokens, D]; out must not alias x (the residual adds,
+  /// x: [batch * tokens, D]; out must not alias x (the residual adds,
   /// fused into the proj and fc2 epilogues, re-read x). Runs the whole
-  /// block on the kern fast path.
+  /// block on the kern fast path. A non-null `positions` (token positions,
+  /// the same for every sequence) keeps only those output rows: LN1 and qkv
+  /// still run on every row (keys and values need every token), attention,
+  /// proj, LN2, the FFN and LN3 on the listed rows only, and out is
+  /// [batch * positions->size(), D] holding the same bytes as those rows of
+  /// the full call. nullptr means every position.
   void infer(const float* x, float* out, int batch, int tokens,
-             tensor::kern::Workspace& ws) const;
+             tensor::kern::Workspace& ws,
+             const std::vector<int>* positions = nullptr) const;
 
   /// Int8 variant: layernorms, residual adds and the attention core stay
   /// fp32; every Linear runs the quantized kernel.
   void infer_q(const float* x, float* out, int batch, int tokens,
-               tensor::kern::Workspace& ws) const;
+               tensor::kern::Workspace& ws,
+               const std::vector<int>* positions = nullptr) const;
 
   [[nodiscard]] bool quantized() const {
     return attn_->quantized() && ffn_->quantized();
@@ -130,6 +140,10 @@ class TransformerBlock : public Module {
                                     int num_heads, int ffn_hidden);
 
  private:
+  void run(const float* x, float* out, int batch, int tokens,
+           tensor::kern::Workspace& ws, const std::vector<int>* positions,
+           bool int8) const;
+
   std::unique_ptr<LayerNorm> ln1_;
   std::unique_ptr<MultiHeadAttention> attn_;
   std::unique_ptr<LayerNorm> ln2_;

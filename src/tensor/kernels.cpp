@@ -269,10 +269,7 @@ class Pool {
 
 }  // namespace
 
-int default_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<int>(hc);
-}
+int default_threads() { return std::max(1, util::affinity_cpu_count()); }
 
 void set_threads(int n) { Pool::instance().resize(n); }
 
@@ -428,7 +425,9 @@ void gemm_rows_base(const float* a, std::size_t lda, const float* b,
 
 // MR x (8 * NV) accumulators over the whole k range, stored raw into the
 // kNc-stride stack tile. kTail masks the last B vector to the live columns.
-template <int MR, int NV, bool kTail>
+// kTransA reads A column-major (element (r, p) at a[p * lda + r]), which is
+// how attention's transposed weight tile feeds its V product.
+template <int MR, int NV, bool kTail, bool kTransA = false>
 __attribute__((target("avx2,fma"))) void tile_avx2(
     const float* a, std::size_t lda, const float* b, std::size_t ldb, int k,
     __m256i tail, float* tile) {
@@ -444,8 +443,9 @@ __attribute__((target("avx2,fma"))) void tile_avx2(
                                    : _mm256_loadu_ps(brow + 8 * v);
     }
     for (int r = 0; r < MR; ++r) {
-      const __m256 ar =
-          _mm256_broadcast_ss(a + static_cast<std::size_t>(r) * lda + p);
+      const __m256 ar = _mm256_broadcast_ss(
+          kTransA ? a + static_cast<std::size_t>(p) * lda + r
+                  : a + static_cast<std::size_t>(r) * lda + p);
       for (int v = 0; v < NV; ++v) {
         acc[r][v] = _mm256_fmadd_ps(ar, bv[v], acc[r][v]);
       }
@@ -467,6 +467,17 @@ constexpr TileFn kPartialTiles[kMr][3] = {
     {tile_avx2<2, 1, true>, tile_avx2<2, 2, true>, tile_avx2<2, 3, true>},
     {tile_avx2<3, 1, true>, tile_avx2<3, 2, true>, tile_avx2<3, 3, true>},
     {tile_avx2<4, 1, true>, tile_avx2<4, 2, true>, tile_avx2<4, 3, true>}};
+
+// The same with A read column-major.
+constexpr TileFn kTransATiles[kMr][3] = {
+    {tile_avx2<1, 1, true, true>, tile_avx2<1, 2, true, true>,
+     tile_avx2<1, 3, true, true>},
+    {tile_avx2<2, 1, true, true>, tile_avx2<2, 2, true, true>,
+     tile_avx2<2, 3, true, true>},
+    {tile_avx2<3, 1, true, true>, tile_avx2<3, 2, true, true>,
+     tile_avx2<3, 3, true, true>},
+    {tile_avx2<4, 1, true, true>, tile_avx2<4, 2, true, true>,
+     tile_avx2<4, 3, true, true>}};
 
 // epilogue_row on 8 lanes. Compiled without fma and kept out of line so the
 // caller's FMA context cannot contract it: the output equals epilogue_row's
@@ -569,78 +580,128 @@ void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
 
 namespace {
 
-// Eight-lane max reduction: a sequential float max loop compiles to a
-// data-dependent branch (mispredicting on random scores); splitting into
-// lanes is branchless and vector-friendly, and max is exact, so any
-// reduction order yields the identical maximum.
-__attribute__((always_inline)) inline float row_max(const float* row, int d) {
-  if (d >= 8) {
-    float lanes[8];
-    for (int c = 0; c < 8; ++c) lanes[c] = row[c];
-    int j = 8;
-    for (; j + 8 <= d; j += 8) {
-      for (int c = 0; c < 8; ++c) lanes[c] = std::max(lanes[c], row[j + c]);
+// One pass of up to kNc queries of one head. Scores are stored transposed,
+// s[j * kNc + r] for key j and query lane r, so every query is a lane: the
+// softmax max and denominator run down the key rows, and a query's bytes
+// never depend on which other queries share its pass. ks is K pre-scaled by
+// 1/sqrt(head_dim) ([t][hd]); qt holds the pass's queries transposed
+// ([hd][kNc], lanes past nq zero). Output row r (stride ldo) gets
+// sum_j w[j][r] * v[j], the key-ordered chain of the GEMM.
+//
+// Per query every body computes s_j = sum_p k_jp * q_p in ascending p,
+// the max, e_j = fast_exp(s_j - max), the denominator summed in key order,
+// w_j = e_j * (1 / denom) and out_c = sum_j w_j * v_jc in ascending j.
+void attention_pass_base(const float* ks, const float* qt, float* s,
+                         const float* v, std::size_t ldv, float* out,
+                         std::size_t ldo, int t, int hd, int nq) {
+  for (int j = 0; j < t; ++j) {
+    const float* krow = ks + static_cast<std::size_t>(j) * hd;
+    for (int r = 0; r < nq; ++r) {
+      float acc = 0.0F;
+      for (int p = 0; p < hd; ++p) acc += krow[p] * qt[p * kNc + r];
+      s[j * kNc + r] = acc;
     }
-    float mx = lanes[0];
-    for (int c = 1; c < 8; ++c) mx = std::max(mx, lanes[c]);
-    for (; j < d; ++j) mx = std::max(mx, row[j]);
-    return mx;
   }
-  float mx = row[0];
-  for (int j = 1; j < d; ++j) mx = std::max(mx, row[j]);
-  return mx;
-}
-
-// Max-shifted softmax of the first t scores of each row of s, row stride
-// tp (a multiple of 8; the padding lanes are scratch). The row denominator
-// is summed in key order, the same order for both bodies.
-void softmax_rows_base(float* s, int rows, int t, int tp) {
-  for (int r = 0; r < rows; ++r) {
-    float* row = s + static_cast<std::size_t>(r) * tp;
-    const float mx = row_max(row, t);
+  for (int r = 0; r < nq; ++r) {
+    float mx = s[r];
+    for (int j = 1; j < t; ++j) mx = std::max(mx, s[j * kNc + r]);
     float denom = 0.0F;
-    for (int j = 0; j < t; ++j) denom += row[j] = fast_exp(row[j] - mx);
+    for (int j = 0; j < t; ++j) {
+      denom += s[j * kNc + r] = fast_exp(s[j * kNc + r] - mx);
+    }
     const float inv = 1.0F / denom;
-    for (int j = 0; j < t; ++j) row[j] *= inv;
+    for (int j = 0; j < t; ++j) s[j * kNc + r] *= inv;
+  }
+  for (int r = 0; r < nq; ++r) {
+    for (int c = 0; c < hd; ++c) {
+      float acc = 0.0F;
+      for (int j = 0; j < t; ++j) {
+        acc += s[j * kNc + r] * v[static_cast<std::size_t>(j) * ldv + c];
+      }
+      out[static_cast<std::size_t>(r) * ldo + c] = acc;
+    }
   }
 }
 
 #ifdef EASZ_KERN_AVX2
 
-// Whole vectors only: a masked store would defeat store-to-load
-// forwarding on the next pass over the row.
-__attribute__((target("avx2"))) void softmax_rows_avx2(float* s, int rows,
-                                                       int t, int tp) {
-  for (int r = 0; r < rows; ++r) {
-    float* row = s + static_cast<std::size_t>(r) * tp;
-    const __m256 mx = _mm256_set1_ps(row_max(row, t));
-    for (int j = 0; j < tp; j += 8) {
-      _mm256_storeu_ps(row + j, detail::fast_exp_v8(_mm256_sub_ps(
-                                    _mm256_loadu_ps(row + j), mx)));
+// The softmax of attention_pass_base on nv 8-query lanes at a time: max,
+// exp and the key-ordered denominator are vertical ops over the key rows.
+// Compiled without fma and kept out of line, like the GEMM epilogue, so the
+// exp polynomial keeps the portable rounding. max_ps(x, mx) keeps mx on a
+// tie, as std::max(mx, x) does.
+__attribute__((target("avx2"), noinline)) void softmax_cols_avx2(float* s,
+                                                                 int t,
+                                                                 int nv) {
+  for (int g = 0; g < nv; ++g) {
+    float* col = s + 8 * g;
+    __m256 mx = _mm256_load_ps(col);
+    for (int j = 1; j < t; ++j) {
+      mx = _mm256_max_ps(_mm256_load_ps(col + j * kNc), mx);
     }
-    float denom = 0.0F;
-    for (int j = 0; j < t; ++j) denom += row[j];
-    const __m256 inv = _mm256_set1_ps(1.0F / denom);
-    for (int j = 0; j < tp; j += 8) {
-      _mm256_storeu_ps(row + j, _mm256_mul_ps(_mm256_loadu_ps(row + j), inv));
+    __m256 denom = _mm256_setzero_ps();
+    for (int j = 0; j < t; ++j) {
+      const __m256 e = detail::fast_exp_v8(
+          _mm256_sub_ps(_mm256_load_ps(col + j * kNc), mx));
+      _mm256_store_ps(col + j * kNc, e);
+      denom = _mm256_add_ps(denom, e);
+    }
+    const __m256 inv = _mm256_div_ps(_mm256_set1_ps(1.0F), denom);
+    for (int j = 0; j < t; ++j) {
+      _mm256_store_ps(col + j * kNc,
+                      _mm256_mul_ps(_mm256_load_ps(col + j * kNc), inv));
+    }
+  }
+}
+
+// attention_pass_base on the GEMM's register tiles: the scores are a
+// [t, hd] x [hd, nq] product (keys as rows, fma(k, q, acc) == fma(q, k,
+// acc)), the V product reads the weight tile column-major. s must be
+// 32-byte aligned.
+__attribute__((target("avx2,fma"))) void attention_pass_avx2(
+    const float* ks, const float* qt, float* s, const float* v,
+    std::size_t ldv, float* out, std::size_t ldo, int t, int hd, int nq) {
+  const int nv = (nq + 7) / 8;
+  const __m256i all = detail::lane_mask(8);
+  for (int j = 0; j < t; j += kMr) {
+    const int mr = std::min(kMr, t - j);
+    kPartialTiles[mr - 1][nv - 1](ks + static_cast<std::size_t>(j) * hd, hd,
+                                  qt, kNc, hd, all, s + j * kNc);
+  }
+  softmax_cols_avx2(s, t, nv);
+  alignas(32) float tile[kMr * kNc];
+  const Epilogue none{nullptr, nullptr, false};
+  for (int r = 0; r < nq; r += kMr) {
+    const int mr = std::min(kMr, nq - r);
+    float* orow = out + static_cast<std::size_t>(r) * ldo;
+    for (int c = 0; c < hd; c += kNc) {
+      const int nr = std::min(kNc, hd - c);
+      const int cv = (nr + 7) / 8;
+      kTransATiles[mr - 1][cv - 1](s + r, kNc, v + c, ldv, t,
+                                   detail::lane_mask(nr - 8 * (cv - 1)),
+                                   tile);
+      epilogue_tile_avx2(tile, mr, nr, orow, ldo, c, none);
     }
   }
 }
 
 #endif  // EASZ_KERN_AVX2
 
-void softmax_rows(float* s, int rows, int t, int tp) {
+void attention_pass(const float* ks, const float* qt, float* s,
+                    const float* v, std::size_t ldv, float* out,
+                    std::size_t ldo, int t, int hd, int nq) {
 #ifdef EASZ_KERN_AVX2
   if (use_avx2()) {
-    softmax_rows_avx2(s, rows, t, tp);
+    attention_pass_avx2(ks, qt, s, v, ldv, out, ldo, t, hd, nq);
     return;
   }
 #endif
-  softmax_rows_base(s, rows, t, tp);
+  attention_pass_base(ks, qt, s, v, ldv, out, ldo, t, hd, nq);
 }
 
-// Per-lane scratch for one head's K^T and its [T, tp] score tile. Grow-only:
-// a steady-state forward allocates nothing.
+// Per-lane scratch for one head: the [t, kNc] score tile (32-byte
+// aligned), K pre-scaled and the transposed query pass. Grow-only: a
+// steady-state forward allocates nothing.
 std::vector<float>& attention_scratch() {
   static thread_local std::vector<float> scratch;
   return scratch;
@@ -649,37 +710,46 @@ std::vector<float>& attention_scratch() {
 }  // namespace
 
 void attention(const float* qkv, float* out, int batch, int tokens, int heads,
-               int head_dim) {
-  if (batch <= 0 || tokens <= 0 || heads <= 0 || head_dim <= 0) return;
+               int head_dim, const std::vector<int>* queries) {
+  const int nq =
+      queries == nullptr ? tokens : static_cast<int>(queries->size());
+  if (batch <= 0 || tokens <= 0 || heads <= 0 || head_dim <= 0 || nq <= 0) {
+    return;
+  }
   const std::size_t t = static_cast<std::size_t>(tokens);
-  const int tp = (tokens + 7) / 8 * 8;  // score rows in whole vectors
-  const std::size_t d = static_cast<std::size_t>(heads) * head_dim;
+  const std::size_t hd = static_cast<std::size_t>(head_dim);
+  const std::size_t d = static_cast<std::size_t>(heads) * hd;
   const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
-  // One task per (batch, head) on strided views into the qkv buffer: pack
-  // K^T / sqrt(head_dim), zero-padded to tp keys, into the lane's tile; QK^T
-  // and the V product run on the GEMM's register tiles, the softmax in
-  // between on the lane's [T, tp] score tile.
+  // One task per (batch, head) on strided views into the qkv buffer; the
+  // listed queries run in passes of up to kNc.
   const auto task = [&](int task_index) {
     const std::size_t bi = static_cast<std::size_t>(task_index / heads);
-    const std::size_t col = static_cast<std::size_t>(task_index % heads) *
-                            static_cast<std::size_t>(head_dim);
-    const float* base = qkv + bi * t * 3 * d;
+    const std::size_t col = static_cast<std::size_t>(task_index % heads) * hd;
+    const float* base = qkv + bi * t * 3 * d + col;
+    float* obase = out + bi * static_cast<std::size_t>(nq) * d;
     std::vector<float>& scratch = attention_scratch();
-    const std::size_t need = static_cast<std::size_t>(head_dim + tokens) * tp;
+    const std::size_t need = (t + hd) * kNc + t * hd + 8;
     if (scratch.size() < need) scratch.resize(need);
-    float* kt = scratch.data();
-    float* scores = kt + static_cast<std::size_t>(head_dim) * tp;
-    std::fill(kt, scores, 0.0F);
+    float* s = scratch.data();
+    s += (32 - reinterpret_cast<std::uintptr_t>(s) % 32) % 32 / sizeof(float);
+    float* ks = s + t * kNc;
+    float* qt = ks + t * hd;
     for (std::size_t j = 0; j < t; ++j) {
-      const float* krow = base + j * 3 * d + d + col;
-      for (int p = 0; p < head_dim; ++p) kt[p * tp + j] = krow[p] * scale;
+      const float* krow = base + j * 3 * d + d;
+      for (std::size_t p = 0; p < hd; ++p) ks[j * hd + p] = krow[p] * scale;
     }
-    const Epilogue none{nullptr, nullptr, false};
-    gemm_rows(base + col, 3 * d, kt, tp, scores, tp, tokens, head_dim, tp,
-              none);
-    softmax_rows(scores, tokens, tokens, tp);
-    gemm_rows(scores, tp, base + 2 * d + col, 3 * d, out + bi * t * d + col, d,
-              tokens, tokens, head_dim, none);
+    for (int r0 = 0; r0 < nq; r0 += kNc) {
+      const int n = std::min(kNc, nq - r0);
+      std::fill(qt, qt + hd * kNc, 0.0F);
+      for (int r = 0; r < n; ++r) {
+        const int qi = queries == nullptr ? r0 + r : (*queries)[r0 + r];
+        const float* qrow = base + static_cast<std::size_t>(qi) * 3 * d;
+        for (std::size_t p = 0; p < hd; ++p) qt[p * kNc + r] = qrow[p];
+      }
+      attention_pass(ks, qt, s, base + 2 * d, 3 * d,
+                     obase + static_cast<std::size_t>(r0) * d + col, d,
+                     tokens, head_dim, n);
+    }
   };
   parallel_for(batch * heads, task);
 }

@@ -12,8 +12,10 @@
 //    and row-panel parallelism on a persistent process-global thread pool
 //    (idle lanes dynamically steal the next unclaimed panel).
 //  * attention(): fused multi-head attention, one task per (batch, head):
-//    QK^T, max-shifted softmax and the V product on one lane-local score
-//    tile, with no [batch * heads * T * T] slab in the workspace.
+//    scores stored transposed ([key][query lane]) on one lane-local tile,
+//    a column-wise max-shifted softmax and the V product, with no
+//    [batch * heads * T * T] slab in the workspace. Any subset of query
+//    rows can be computed alone with the same bytes.
 //  * layernorm_rows(): fused single-pass row kernel.
 //  * Workspace: a grow-only bump arena for activations, so a steady-state
 //    forward performs zero heap allocations (see Workspace notes).
@@ -50,7 +52,8 @@ namespace easz::tensor::kern {
 
 // ---- thread pool ----------------------------------------------------------
 
-/// Lanes the pool would use by default (hardware concurrency, >= 1).
+/// Lanes the pool would use by default: the CPUs in the process's
+/// affinity mask (util/affinity.hpp), >= 1.
 int default_threads();
 
 /// Total concurrency: the calling thread plus (n - 1) persistent workers.
@@ -145,9 +148,14 @@ void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
 /// [batch * tokens, 3 * heads * head_dim] (Q | K | V, head h at column
 /// h * head_dim of each third); out is [batch * tokens, heads * head_dim].
 /// Per query row: s = QK^T / sqrt(head_dim), w = softmax(s), out = w V.
-/// Tasks run on the pool; not for use inside a parallel_for task.
+/// A non-null `queries` (positions in [0, tokens), the same for every
+/// sequence) computes only those query rows against all keys: out is then
+/// [batch * queries->size(), heads * head_dim], row b * size + r holding
+/// query (*queries)[r] of sequence b, with the same bytes as that row of
+/// the full call. Tasks run on the pool; not for use inside a parallel_for
+/// task.
 void attention(const float* qkv, float* out, int batch, int tokens, int heads,
-               int head_dim);
+               int head_dim, const std::vector<int>* queries = nullptr);
 
 /// y[r] = (x[r] - mu_r) * inv_sd_r * gamma + beta per row of x [rows, d].
 /// y may alias x.

@@ -15,6 +15,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#ifdef __linux__
+#include <sched.h>
+#endif
 #include <thread>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "tensor/kern_math.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
+#include "util/affinity.hpp"
 #include "util/prng.hpp"
 
 namespace easz {
@@ -202,6 +206,52 @@ TEST(KernGemm, RowBytesIndependentOfPositionInBatch) {
   }
 }
 
+TEST(KernGemmInt8, RowBytesIndependentOfPositionInBatch) {
+  // The int8 twin of the test above: the dequant epilogue is row-local,
+  // so a row computed alone and the same row inside any m-row call (full
+  // tiles, row remainders, column remainders) must match bit for bit.
+  util::Pcg32 rng(16);
+  const int k = 19;
+  for (int n = 1; n <= 49; ++n) {
+    std::vector<std::uint8_t> a(9 * k);
+    for (auto& v : a) v = static_cast<std::uint8_t>(rng.next_u32() & 0xFFU);
+    std::vector<std::int8_t> w(static_cast<std::size_t>(k) * n);
+    for (auto& v : w) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.next_u32() % 255) - 127);
+    }
+    const kern::PackedBInt8 packed = kern::pack_b_s8(w.data(), k, n);
+    std::vector<float> dq(n), bias(n), res(static_cast<std::size_t>(9) * n);
+    std::vector<std::int32_t> col_sum(n, 0);
+    for (int j = 0; j < n; ++j) {
+      dq[j] = 1e-3F * (1.0F + static_cast<float>(rng.next_u32() % 100));
+      bias[j] = rng.next_gaussian();
+      for (int p = 0; p < k; ++p) col_sum[j] += w[p * n + j];
+    }
+    for (auto& v : res) v = rng.next_gaussian();
+    for (int variant = 0; variant < 4; ++variant) {
+      kern::QuantGemmOpts opts;
+      opts.parallel = false;
+      opts.bias = variant == 1 || variant == 2 ? bias.data() : nullptr;
+      opts.gelu = variant == 2;
+      opts.residual = variant == 3 ? res.data() : nullptr;
+      std::vector<float> alone(static_cast<std::size_t>(9) * n);
+      for (int i = 0; i < 9; ++i) {
+        kern::QuantGemmOpts row_opts = opts;
+        if (opts.residual != nullptr) row_opts.residual = res.data() + i * n;
+        kern::gemm_u8s8(a.data() + i * k, k, packed, alone.data() + i * n, n,
+                        1, k, n, dq.data(), col_sum.data(), row_opts);
+      }
+      for (int m = 1; m <= 9; ++m) {
+        std::vector<float> batch(static_cast<std::size_t>(m) * n);
+        kern::gemm_u8s8(a.data(), k, packed, batch.data(), n, m, k, n,
+                        dq.data(), col_sum.data(), opts);
+        ASSERT_EQ(0, std::memcmp(alone.data(), batch.data(), batch.size() * 4))
+            << "m=" << m << " n=" << n << " variant=" << variant;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- row kernels
 
 TEST(KernRows, LayernormMatchesAutograd) {
@@ -273,6 +323,51 @@ TEST(KernAttention, MatchesAutogradMhaAndIsLaneCountInvariant) {
       expect_close(one.data(), want.data().data(), one.size());
       ASSERT_EQ(0, std::memcmp(one.data(), four.data(), one.size() * 4))
           << "hd=" << hd << " t=" << t;
+    }
+  }
+}
+
+TEST(KernAttention, QuerySubsetBytesEqualFullRows) {
+  // Any list of query rows (one, all, an unordered subset, more than one
+  // pass of queries) must reproduce those rows of the full call bit for
+  // bit, at every pool width: the cut decoder path rests on it.
+  util::Pcg32 rng(15);
+  for (const int hd : {8, 12, 16}) {
+    for (const int t : {1, 3, 12, 16, 17, 33}) {
+      const int heads = 2, batch = 3, d = heads * hd;
+      std::vector<float> qkv(static_cast<std::size_t>(batch) * t * 3 * d);
+      for (auto& v : qkv) v = 2.0F * rng.next_gaussian();
+      std::vector<std::vector<int>> subsets = {{0}, {t - 1}, {t / 2}};
+      std::vector<int> all(t), odd_reversed, shuffled;
+      for (int i = 0; i < t; ++i) all[i] = i;
+      for (int i = t - 1; i >= 0; i -= 2) odd_reversed.push_back(i);
+      for (int i = 0; i < t; ++i) {
+        if (rng.next_u32() % 4 != 0) shuffled.push_back((i * 7) % t);
+      }
+      subsets.push_back(all);
+      subsets.push_back(odd_reversed);
+      if (!shuffled.empty()) subsets.push_back(shuffled);
+      for (const int lanes : {1, 4}) {
+        ThreadGuard tg(lanes);
+        std::vector<float> full(static_cast<std::size_t>(batch) * t * d);
+        kern::attention(qkv.data(), full.data(), batch, t, heads, hd);
+        for (const std::vector<int>& q : subsets) {
+          const std::size_t nq = q.size();
+          std::vector<float> got(batch * nq * d);
+          kern::attention(qkv.data(), got.data(), batch, t, heads, hd, &q);
+          for (int b = 0; b < batch; ++b) {
+            for (std::size_t r = 0; r < nq; ++r) {
+              ASSERT_EQ(0, std::memcmp(got.data() + (b * nq + r) * d,
+                                       full.data() +
+                                           (static_cast<std::size_t>(b) * t +
+                                            q[r]) * d,
+                                       d * sizeof(float)))
+                  << "hd=" << hd << " t=" << t << " lanes=" << lanes
+                  << " nq=" << nq << " row " << r;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -413,6 +508,25 @@ TEST(KernPool, SetThreadsClampsAndReports) {
   kern::set_threads(3);
   EXPECT_EQ(kern::threads(), 3);
 }
+
+#ifdef __linux__
+TEST(KernPool, DefaultThreadsFollowsAffinity) {
+  // The default pool width is the CPUs the process may run on, not the
+  // host's hardware threads: under a one-CPU mask it is one lane.
+  EXPECT_EQ(kern::default_threads(), std::max(1, util::affinity_cpu_count()));
+  cpu_set_t saved;
+  ASSERT_EQ(0, sched_getaffinity(0, sizeof(saved), &saved));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(0, sched_setaffinity(0, sizeof(one), &one));
+  const int narrowed = kern::default_threads();
+  ASSERT_EQ(0, sched_setaffinity(0, sizeof(saved), &saved));
+  EXPECT_EQ(narrowed, 1);
+}
+#endif
 
 // ---------------------------------------------------------------- workspace
 
@@ -586,6 +700,63 @@ TEST(InferModel, ReconstructMatchesAutogradReference) {
 
   const Tensor got = model.reconstruct(tokens, mask);
   expect_close(got, ref);
+}
+
+TEST(InferModel, ReconstructBytesEqualFullForwardPasteThrough) {
+  // reconstruct() runs the last decoder block past attention, and the
+  // head, for the erased rows only; its bytes must equal the full infer()
+  // followed by paste-through of the kept tokens and the clamp, for both
+  // precisions, masks on both squeeze axes, any batch and pool width.
+  util::Pcg32 rng(17);
+  const core::ReconModelConfig cfg = small_model_config();
+  core::ReconstructionModel model(cfg, rng);
+  const int grid = cfg.patchify.grid();
+  const int total = cfg.patchify.tokens();
+  const int token_dim = cfg.patchify.token_dim(cfg.channels);
+  std::vector<core::ReconstructionModel::CalibSample> calib;
+  for (int erased = 1; erased < grid; ++erased) {
+    util::Pcg32 mask_rng(40 + erased);
+    Tensor tokens = Tensor::randn({3, total, token_dim}, rng, 0.4F);
+    calib.push_back({tokens, core::make_row_conditional_mask(grid, erased,
+                                                             mask_rng)});
+  }
+  model.calibrate_and_quantize(calib);
+
+  for (int erased = 1; erased < grid; ++erased) {
+    util::Pcg32 mask_rng(50 + erased);
+    const core::EraseMask row_mask =
+        core::make_row_conditional_mask(grid, erased, mask_rng);
+    for (const core::EraseMask& mask : {row_mask, row_mask.transposed()}) {
+      const std::vector<int> kept = mask.kept_indices();
+      for (int batch = 1; batch <= 5; ++batch) {
+        Tensor tokens = Tensor::randn({batch, total, token_dim}, rng, 0.6F);
+        for (auto& v : tokens.data()) v += 0.5F;  // some fall outside [0,1]
+        for (const nn::Precision p :
+             {nn::Precision::kFp32, nn::Precision::kInt8}) {
+          for (const int lanes : {1, 4}) {
+            ThreadGuard tg(lanes);
+            Tensor want = model.infer(tokens, mask, p);
+            for (int b = 0; b < batch; ++b) {
+              for (const int j : kept) {
+                const std::size_t off =
+                    (static_cast<std::size_t>(b) * total + j) * token_dim;
+                std::copy_n(tokens.data().data() + off, token_dim,
+                            want.data().data() + off);
+              }
+            }
+            for (auto& v : want.data()) v = std::min(1.0F, std::max(0.0F, v));
+            const Tensor got = model.reconstruct(tokens, mask, p);
+            ASSERT_EQ(got.shape(), want.shape());
+            ASSERT_EQ(0, std::memcmp(got.data().data(), want.data().data(),
+                                     got.numel() * sizeof(float)))
+                << "erased=" << erased << " batch=" << batch
+                << " int8=" << (p == nn::Precision::kInt8)
+                << " lanes=" << lanes;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- serve
